@@ -1191,7 +1191,7 @@ let serve_bench () =
          exit 1
        | None -> ())
     burst_outcomes;
-  let paid = Engines.Scan_share.paid_reads (Serve.Service.share svc3) "r1" in
+  let paid = Engines.Share.paid_reads (Serve.Service.share svc3) "r1" in
   Printf.printf
     "\nco-admission: %d concurrent workflows reading r1 paid %d modeled \
      fetch(es)\n%!"
@@ -1473,10 +1473,9 @@ let subplan_bench () =
       (fun acc (o : Serve.Service.outcome) -> acc + o.subplan_paid)
       0 on_outcomes
   in
-  let attached_mb = Engines.Subplan_share.attached_mb
-                      (Serve.Service.subplan_share on_svc) in
+  let attached_mb = Engines.Share.attached_mb (Serve.Service.share on_svc) in
   let cache_stats =
-    Serve.Subresult_cache.stats (Serve.Service.subresult_cache on_svc)
+    (Serve.Service.summarize on_svc on_outcomes).Serve.Service.subresult
   in
   Printf.printf
     "repeat traffic: %d submissions, modeled makespan %.1fs off -> %.1fs \
@@ -1569,11 +1568,9 @@ let subplan_bench () =
       (Printf.sprintf
          "    \"subresult_cache\": {\"hits\": %d, \"misses\": %d, \
           \"evictions\": %d, \"entries\": %d, \"bytes_mb\": %.3f}\n"
-         cache_stats.Serve.Subresult_cache.hits
-         cache_stats.Serve.Subresult_cache.misses
-         cache_stats.Serve.Subresult_cache.evictions
-         cache_stats.Serve.Subresult_cache.entries
-         cache_stats.Serve.Subresult_cache.bytes_mb);
+         cache_stats.Musketeer.Lru.hits cache_stats.Musketeer.Lru.misses
+         cache_stats.Musketeer.Lru.evictions cache_stats.Musketeer.Lru.entries
+         cache_stats.Musketeer.Lru.size);
     Buffer.add_string b "  },\n";
     Buffer.add_string b
       (Printf.sprintf

@@ -768,15 +768,28 @@ let concurrency_arg =
     & info [ "concurrency" ] ~docv:"K"
         ~doc:"Admission slots: workflows in flight at once.")
 
+(* cache capacities: finite and >= 0 (0 caches nothing); anything else
+   is a usage error *)
+let cache_size conv ~ok =
+  let parse = Arg.conv_parser conv in
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Ok v when ok v -> Ok v
+        | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a finite number >= 0" s))
+        | Error _ as e -> e),
+      Arg.conv_printer conv )
+
 let cache_capacity_arg =
   Arg.(
-    value & opt int 128
+    value & opt (cache_size int ~ok:(fun n -> n >= 0)) 128
     & info [ "cache-capacity" ] ~docv:"N"
-        ~doc:"Plan-cache entries before LRU eviction.")
+        ~doc:"Plan-cache entries before LRU eviction. 0 caches no plan.")
 
 let subresult_cache_mb_arg =
   Arg.(
-    value & opt float 256.
+    value
+    & opt (cache_size float ~ok:(fun mb -> Float.is_finite mb && mb >= 0.)) 256.
     & info [ "subresult-cache-mb" ] ~docv:"MB"
         ~doc:
           "Budget (modeled MB) of the materialized sub-result cache: \

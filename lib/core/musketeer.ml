@@ -16,6 +16,7 @@ module Supervisor = Supervisor
 module Mapper = Mapper
 module Explain = Explain
 module Calibrate = Calibrate
+module Lru = Lru
 module Plan_cache = Plan_cache
 module Subplan = Subplan
 module Rebuild = Rebuild
@@ -49,6 +50,12 @@ let estimator t ~workflow ~hdfs g =
 
 let optimize_ir ~hdfs g = Optimizer.optimize ~catalog:(catalog_of_hdfs hdfs) g
 
+type plan_cache = (Partitioner.plan * Ir.Dag.t, string) Lru.t
+
+let plan_cache ~capacity =
+  Lru.create ~metric:"plan_cache" ~capacity:(float_of_int capacity)
+    ~size:(fun _ -> 1.)
+
 let plan ?(backends = Engines.Backend.all) ?(merging = true)
     ?(optimize = true) ?cache t ~workflow ~hdfs g =
   Obs.Trace.with_span
@@ -81,18 +88,13 @@ let plan ?(backends = Engines.Backend.all) ?(merging = true)
     let fingerprint =
       Plan_cache.fingerprint ~backends ~merging ~optimize ~workflow ~hdfs g
     in
-    let outcome = Plan_cache.find cache ~hash ~fingerprint in
-    Obs.Trace.add_attr "plan.cache"
-      (Obs.Trace.String (Plan_cache.lookup_label outcome));
+    let outcome = Lru.find cache hash ~valid:(String.equal fingerprint) in
+    Obs.Trace.add_attr "plan.cache" (Obs.Trace.String (Lru.label outcome));
     match outcome with
-    | Plan_cache.Hit { Plan_cache.plan; graph } -> Some (plan, graph)
-    | Plan_cache.Miss | Plan_cache.Invalidated ->
+    | Lru.Hit planned -> Some planned
+    | Lru.Miss | Lru.Invalidated ->
       let result = compute () in
-      Option.iter
-        (fun (p, g') ->
-           Plan_cache.store cache ~hash ~fingerprint
-             { Plan_cache.plan = p; graph = g' })
-        result;
+      Option.iter (Lru.add cache hash ~stamp:fingerprint) result;
       result)
 
 let execute_plan ?mode ?record_history ?recovery ?candidates ?supervision

@@ -39,7 +39,10 @@ module Explain = Explain
 (** Cost-model calibration from the run ledger (CLI [--ledger]). *)
 module Calibrate = Calibrate
 
-(** Plan cache for repeat traffic (serving mode). *)
+(** The bounded LRU behind the plan and sub-result caches. *)
+module Lru = Lru
+
+(** Plan-cache environment fingerprint (serving mode). *)
 module Plan_cache = Plan_cache
 
 (** Common-subplan sharing: cut points, prefix extraction and the
@@ -80,6 +83,14 @@ val estimator :
 (** IR optimization (paper §4.2); identity when typing fails. *)
 val optimize_ir : hdfs:Engines.Hdfs.t -> Ir.Dag.t -> Ir.Dag.t
 
+(** Cached [(plan, optimized graph)] pairs, stamped with
+    {!Plan_cache.fingerprint}. *)
+type plan_cache = (Partitioner.plan * Ir.Dag.t, string) Lru.t
+
+(** An empty plan cache holding up to [capacity] plans ([0] stores
+    none). *)
+val plan_cache : capacity:int -> plan_cache
+
 (** [plan] = optimize + estimate + partition. [None] when no backend
     combination can express the workflow. Engines quarantined by
     {!Engines.Breaker} are dropped from [backends] first (unless that
@@ -95,7 +106,7 @@ val optimize_ir : hdfs:Engines.Hdfs.t -> Ir.Dag.t -> Ir.Dag.t
            ["plan"] span as the [plan.cache] attribute. *)
 val plan :
   ?backends:Engines.Backend.t list -> ?merging:bool -> ?optimize:bool ->
-  ?cache:Plan_cache.t ->
+  ?cache:plan_cache ->
   t -> workflow:string -> hdfs:Engines.Hdfs.t -> Ir.Dag.t ->
   (Partitioner.plan * Ir.Dag.t) option
 
@@ -114,11 +125,11 @@ val execute :
 
 (** Run a pre-computed plan (used by experiments that compare plans,
     and by the serving layer — [sharing] installs a cross-workflow
-    scan share around the run, see {!Engines.Scan_share}). *)
+    flight table around the run, see {!Engines.Share}). *)
 val execute_plan :
   ?mode:Executor.mode -> ?record_history:bool ->
   ?recovery:Recovery.policy -> ?candidates:Engines.Backend.t list ->
-  ?supervision:Supervisor.config -> ?sharing:Engines.Scan_share.t ->
+  ?supervision:Supervisor.config -> ?sharing:Engines.Share.t ->
   t -> workflow:string -> hdfs:Engines.Hdfs.t -> graph:Ir.Dag.t ->
   Partitioner.plan ->
   (Executor.result, Engines.Report.error) result

@@ -3,32 +3,18 @@
     Planning a submission — optimizer rewrites, size estimation, the
     exhaustive/DP partitioner — is pure given the graph and a small
     planning environment. Repeat traffic therefore caches the resulting
-    [(plan, optimized graph)] pair keyed on
+    [(plan, optimized graph)] pair in an {!Lru} keyed on
     {!Ir.Dag.canonical_hash} of the *submitted* (pre-optimization)
-    graph, plus a {!fingerprint} of the environment: candidate engines
-    after circuit-breaker filtering, installed calibration factors, the
-    fusion gate, planning flags, workflow name, and the modeled sizes
-    of the INPUT relations. A probe whose fingerprint disagrees with
-    the stored entry drops it ({!Invalidated}) and the caller re-plans.
+    graph and stamped with a {!fingerprint} of the environment:
+    candidate engines after circuit-breaker filtering, installed
+    calibration factors, the fusion gate, planning flags, workflow name,
+    and the modeled sizes of the INPUT relations. A probe whose
+    fingerprint disagrees with the stored stamp drops the entry
+    ([Lru.Invalidated]) and the caller re-plans.
 
     Counters land in {!Obs.Metrics.default} as
-    [plan_cache.{hits,misses,invalidations}]; callers put the outcome
-    on the ["plan"] span as the [plan.cache] attribute. Bounded LRU;
-    not thread-safe (planning runs on the main domain only). *)
-
-type cached_plan = { plan : Partitioner.plan; graph : Ir.Dag.t }
-
-type lookup =
-  | Hit of cached_plan
-  | Miss
-  | Invalidated  (** entry existed but its environment changed *)
-
-type t
-
-type stats = { hits : int; misses : int; invalidations : int }
-
-val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 128 distinct workflow structures. *)
+    [plan_cache.{hits,misses,invalidations,evictions}]; callers put the
+    outcome on the ["plan"] span as the [plan.cache] attribute. *)
 
 val fingerprint :
   backends:Engines.Backend.t list ->
@@ -38,16 +24,3 @@ val fingerprint :
   hdfs:Engines.Hdfs.t ->
   Ir.Dag.t ->
   string
-
-val find : t -> hash:string -> fingerprint:string -> lookup
-
-val store : t -> hash:string -> fingerprint:string -> cached_plan -> unit
-
-val stats : t -> stats
-
-(** hits / (hits + misses + invalidations); 0 before any probe. *)
-val hit_rate : t -> float
-
-val size : t -> int
-
-val lookup_label : lookup -> string

@@ -185,10 +185,10 @@ let of_spec spec =
               (fun (name, table, mb) ->
                  Hdfs.put hdfs name ~modeled_mb:mb table;
                  Hdfs.note_write hdfs ~mb;
-                 (* an overwritten relation invalidates any shared-scan
-                    entry other in-flight workflows paid for *)
-                 match Scan_share.active () with
-                 | Some share -> Scan_share.note_write share name
+                 (* an overwritten relation invalidates any shared entry
+                    other in-flight workflows paid for *)
+                 match Share.active () with
+                 | Some share -> Share.note_write share name
                  | None -> ())
               exec.outputs;
             Hdfs.note_read hdfs ~mb:volumes.Perf.input_mb;

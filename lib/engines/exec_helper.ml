@@ -69,9 +69,9 @@ let rec eval_graph ?(protect = []) ~hdfs
              already paying for this scan; the bytes still come from
              HDFS either way, only the charge is waived *)
           let free =
-            match Scan_share.active () with
+            match Share.active () with
             | Some share ->
-              Scan_share.claim share ~relation ~mb:e.Hdfs.modeled_mb
+              Share.claim_scan share ~relation ~mb:e.Hdfs.modeled_mb
             | None -> false
           in
           if not free then acc.input_mb <- acc.input_mb +. e.Hdfs.modeled_mb;

@@ -123,14 +123,18 @@ type tenant_state = {
   mutable tokens_at : float;  (* virtual time of the last refill *)
 }
 
+(* materialized prefixes (table, modeled MB), stamped with the epochs
+   of the INPUT relations they read *)
+type subresult_cache =
+  (Relation.Table.t * float, (string * int) list) Musketeer.Lru.t
+
 type t = {
   m : Musketeer.t;
   hdfs : Engines.Hdfs.t;
   config : config;
-  cache : Musketeer.Plan_cache.t;
-  share : Engines.Scan_share.t;
-  subshare : Engines.Subplan_share.t;
-  subcache : Subresult_cache.t;
+  cache : Musketeer.plan_cache;
+  share : Engines.Share.t;
+  subresults : subresult_cache;
   tenants : (string, tenant_state) Hashtbl.t;
   mutable vwork : float;  (* WFQ virtual-work clock *)
   mutable now : float;    (* virtual wall clock, monotone across drives *)
@@ -146,10 +150,11 @@ let create ?(config = default_config) m ~hdfs =
     m;
     hdfs;
     config;
-    cache = Musketeer.Plan_cache.create ~capacity:config.cache_capacity ();
-    share = Engines.Scan_share.create ();
-    subshare = Engines.Subplan_share.create ();
-    subcache = Subresult_cache.create ~capacity_mb:config.subresult_cache_mb;
+    cache = Musketeer.plan_cache ~capacity:config.cache_capacity;
+    share = Engines.Share.create ();
+    subresults =
+      Musketeer.Lru.create ~metric:"subresult"
+        ~capacity:config.subresult_cache_mb ~size:snd;
     tenants = Hashtbl.create 8;
     vwork = 0.;
     now = 0.;
@@ -161,10 +166,6 @@ let create ?(config = default_config) m ~hdfs =
 let cache t = t.cache
 
 let share t = t.share
-
-let subplan_share t = t.subshare
-
-let subresult_cache t = t.subcache
 
 let tenant_state t name =
   match Hashtbl.find_opt t.tenants name with
@@ -182,33 +183,29 @@ let tenant_state t name =
     Hashtbl.replace t.tenants name ts;
     ts
 
+(* a sub-result is fresh while every input it read is still at the
+   epoch it read *)
+let fresh t reads =
+  List.for_all (fun (rel, ep) -> Engines.Share.epoch t.share rel = ep) reads
+
 (* Overwrite an input relation out-of-band (a client re-uploading
-   data): bumps the scan- and subplan-share epochs, so entries
-   co-admitted workflows paid against the old bytes stop matching;
-   drops sub-result cache entries whose prefix read the relation; and
-   changes the input-size fingerprint the plan cache validates
-   against. *)
+   data): bumps its one epoch, so flight entries co-admitted workflows
+   paid against the old bytes stop matching; drops the sub-results that
+   went stale; and changes the input-size fingerprint the plan cache
+   validates against. *)
 let put_input t relation ?modeled_mb table =
   Engines.Hdfs.put t.hdfs relation ?modeled_mb table;
-  Engines.Scan_share.note_write t.share relation;
-  Engines.Subplan_share.note_write t.subshare relation;
-  Subresult_cache.invalidate t.subcache ~relation
+  Engines.Share.note_write t.share relation;
+  Musketeer.Lru.sweep t.subresults ~valid:(fresh t)
 
 let cost_of sub = float_of_int (max 1 (Ir.Dag.operator_count sub.graph))
 
-let open_flights t =
-  Engines.Scan_share.open_flights t.share
-  + Engines.Subplan_share.open_flights t.subshare
-
-let deadline_of t sub =
-  match sub.slo_s, t.config.default_slo_s with
-  | Some s, _ | None, Some s -> Some (sub.arrival_s +. s)
-  | None, None -> None
+let open_flights t = Engines.Share.open_flights t.share
 
 let slo_of t sub =
-  match sub.slo_s, t.config.default_slo_s with
-  | Some s, _ | None, Some s -> s
-  | None, None -> 0.
+  match sub.slo_s with Some _ as s -> s | None -> t.config.default_slo_s
+
+let deadline_of t sub = Option.map (( +. ) sub.arrival_s) (slo_of t sub)
 
 (* -------- pressure signal & degradation ladder --------
 
@@ -310,6 +307,16 @@ let no_subplans =
   { sp_hits = 0; sp_paid = 0; sp_attached_mb = 0.;
     sp_prefix_makespan_s = 0.; sp_planning_s = 0. }
 
+(* a co-admitted payer's materialization first, then one that outlived
+   its payer in the sub-result cache *)
+let lookup t key =
+  match Engines.Share.claim_subplan t.share ~key with
+  | Some _ as hit -> hit
+  | None -> (
+    match Musketeer.Lru.find t.subresults key ~valid:(fresh t) with
+    | Musketeer.Lru.Hit hit -> Some hit
+    | Musketeer.Lru.Miss | Musketeer.Lru.Invalidated -> None)
+
 (* Multi-query optimization (docs/serving.md): before planning the
    submission, probe every eligible cut point of its DAG — topmost
    first — against the co-admission share and the across-time
@@ -320,7 +327,7 @@ let no_subplans =
    compute. When nothing matches but the modeled recompute exceeds the
    modeled read (Cost.subplan_cut), this submission becomes the payer:
    the prefix cone runs as a stand-alone workflow (through the same
-   plan cache, under this submission's flights) and the
+   plan cache, under this submission's flight) and the
    materialization is published to both sharing layers before the
    rewritten suffix executes. Any payer failure falls back to leaving
    the cone in place — sharing can only be skipped, never wrong.
@@ -389,17 +396,15 @@ let prepare_subplans t ~recovery sub =
                (* the prefix run materialized its output to HDFS, so
                   the modeled size the estimator propagated is there *)
                let mb = Engines.Hdfs.modeled_mb t.hdfs out_rel in
-               Engines.Subplan_share.publish t.subshare
-                 ~key:c.Musketeer.Subplan.sc_key
-                 ~inputs:c.Musketeer.Subplan.sc_inputs ~mb table;
-               Subresult_cache.insert t.subcache
-                 ~key:c.Musketeer.Subplan.sc_key
-                 ~inputs:
-                   (List.map
-                      (fun rel ->
-                         (rel, Engines.Subplan_share.epoch t.subshare rel))
-                      c.Musketeer.Subplan.sc_inputs)
-                 ~mb table;
+               (* the flight table serves the co-admission window, the
+                  sub-result cache later traffic; both hold the same
+                  input epochs *)
+               let key = c.Musketeer.Subplan.sc_key in
+               let reads =
+                 Engines.Share.publish t.share ~key
+                   ~inputs:c.Musketeer.Subplan.sc_inputs ~mb table
+               in
+               Musketeer.Lru.add t.subresults key ~stamp:reads (table, mb);
                let p = !prep in
                prep :=
                  { p with
@@ -412,42 +417,24 @@ let prepare_subplans t ~recovery sub =
       List.iter
         (fun (c : Musketeer.Subplan.candidate) ->
            if not (Hashtbl.mem covered c.Musketeer.Subplan.sc_id) then
-             match
-               Engines.Subplan_share.claim t.subshare
-                 ~key:c.Musketeer.Subplan.sc_key
-             with
+             match lookup t c.Musketeer.Subplan.sc_key with
              | Some (table, mb) -> attach ~hit:true c table mb
-             | None -> (
-               match
-                 Subresult_cache.find t.subcache
-                   ~key:c.Musketeer.Subplan.sc_key
-                   ~epoch:(Engines.Subplan_share.epoch t.subshare)
-               with
-               | Some (table, mb) -> attach ~hit:true c table mb
-               | None ->
-                 let read_mb, saved_mb =
-                   Musketeer.Cost.subplan_cut ~graph:g ~est:(Lazy.force est)
-                     c.Musketeer.Subplan.sc_id
-                 in
-                 if saved_mb > read_mb then
-                   if t.rung >= 2 then
-                     (* rung 2: materializing is optional work — shed
-                        it; the cone stays in place and the suffix
-                        recomputes it, byte-identically *)
-                     Obs.Metrics.incr Obs.Metrics.default
-                       "serve.degrade.no_materialize"
-                   else pay c))
+             | None ->
+               let read_mb, saved_mb =
+                 Musketeer.Cost.subplan_cut ~graph:g ~est:(Lazy.force est)
+                   c.Musketeer.Subplan.sc_id
+               in
+               if saved_mb > read_mb then
+                 if t.rung >= 2 then
+                   (* rung 2: materializing is optional work — shed it;
+                      the cone stays in place and the suffix recomputes
+                      it, byte-identically *)
+                   Obs.Metrics.incr Obs.Metrics.default
+                     "serve.degrade.no_materialize"
+                 else pay c)
         cands;
       ((if !cuts = [] then g else Musketeer.Subplan.cut g !cuts), !prep)
   end
-
-let input_relations g =
-  Ir.Dag.sources g
-  |> List.filter_map (fun (n : Ir.Operator.node) ->
-       match n.Ir.Operator.kind with
-       | Ir.Operator.Input { relation } -> Some relation
-       | _ -> None)
-  |> List.sort_uniq String.compare
 
 (* engines open in the *current* breaker scope (call under with_tenant) *)
 let open_breakers () =
@@ -456,10 +443,47 @@ let open_breakers () =
        if st = Engines.Breaker.Open then Some (Engines.Backend.name b)
        else None)
 
+let within_slo t (o : outcome) =
+  match deadline_of t o.sub with
+  | None -> true
+  | Some d -> o.finish_s <= d +. 1e-9
+
+(* One ledger record per outcome, executed or dropped, so a restarted
+   service — and the report subcommand — see the full admission
+   history. Executed records carry the replay state [restore] reads
+   (open breakers, INPUT epochs); dropped ones carry none. *)
+let record_outcome t ~since ~partition (o : outcome) =
+  match t.config.ledger with
+  | None -> ()
+  | Some filename ->
+    let shed, slo_met, breaker_open, epochs =
+      match o.status with
+      | Served ->
+        ( None, within_slo t o, open_breakers (),
+          List.map
+            (fun rel -> (rel, Engines.Share.epoch t.share rel))
+            (List.sort_uniq String.compare
+               (Ir.Dag.input_relations o.sub.graph)) )
+      | Shed reason -> (Some reason, false, [], [])
+      | Expired -> (Some "slo-expired", false, [], [])
+    in
+    Obs.Ledger.append ~filename
+      (Obs.Ledger.snapshot ~since
+         ~serve:
+           { Obs.Ledger.tenant = o.sub.tenant;
+             queue_delay_s = o.queue_delay_s; latency_s = o.latency_s;
+             cache = o.cache; subplan_hits = o.subplan_hits;
+             subplan_attached_mb = o.subplan_attached_mb; shed;
+             slo_s = Option.value (slo_of t o.sub) ~default:0.; slo_met;
+             breaker_open; epochs }
+         ~workflow:o.sub.workflow
+         ~ir_hash:(Ir.Dag.canonical_hash o.sub.graph) ~partition
+         ~makespan_s:o.makespan_s ())
+
 (* one submission, executed at its (virtual) admission instant;
-   returns the outcome plus the expiry thunk ending its scan- and
-   subplan-share flights at its virtual finish. A failed execution
-   expires its flights immediately (and returns a no-op thunk):
+   returns the outcome plus the expiry thunk ending its flight at its
+   virtual finish. A failed execution expires its flight immediately
+   (and returns a no-op thunk):
    co-admitted attachers must never ride on a payer whose
    materialization never landed. *)
 let execute t ts sub ~admit_s =
@@ -490,30 +514,20 @@ let execute t ts sub ~admit_s =
   let retries0 =
     Obs.Metrics.counter Obs.Metrics.default "recovery.retries"
   in
-  (* sharing scopes open before planning: the subplan rewrite must see
+  (* the flight opens before planning: the subplan rewrite must see
      co-admitted materializations, and a payer executes its prefix
-     under this submission's flights. Each submission still runs
+     under this submission's flight. Each submission still runs
      against the service's base HDFS state — snapshot/restore isolates
      outputs, intermediates and attached prefixes alike. *)
   let pre = Engines.Hdfs.snapshot t.hdfs in
-  let scan_flight =
-    if coadmit then Some (Engines.Scan_share.begin_flight t.share)
-    else None
+  let flight =
+    if coadmit then Some (Engines.Share.begin_flight t.share) else None
   in
-  let sub_flight =
-    if coadmit then Some (Engines.Subplan_share.begin_flight t.subshare)
-    else None
-  in
-  let expire () =
-    Option.iter (Engines.Scan_share.end_flight t.share) scan_flight;
-    Option.iter (Engines.Subplan_share.end_flight t.subshare) sub_flight
-  in
-  let in_flights f =
-    match scan_flight, sub_flight with
-    | Some sf, Some pf ->
-      Engines.Scan_share.with_flight t.share sf @@ fun () ->
-      Engines.Subplan_share.with_flight t.subshare pf f
-    | _ -> f ()
+  let expire () = Option.iter (Engines.Share.end_flight t.share) flight in
+  let in_flight f =
+    match flight with
+    | Some id -> Engines.Share.with_flight t.share id f
+    | None -> f ()
   in
   (* chaos bracket around execution only (planning and the identity
      baseline stay clean); reseeding per submission keeps a fixed
@@ -533,12 +547,12 @@ let execute t ts sub ~admit_s =
       ~finally:(fun () -> Engines.Hdfs.restore t.hdfs ~from:pre)
       (fun () ->
          injected @@ fun () ->
-         in_flights @@ fun () ->
+         in_flight @@ fun () ->
          let graph, sp =
            if coadmit then prepare_subplans t ~recovery sub
            else (sub.graph, no_subplans)
          in
-         let s0 = Musketeer.Plan_cache.stats t.cache in
+         let s0 = Musketeer.Lru.stats t.cache in
          let t0 = Unix.gettimeofday () in
          let planned =
            Musketeer.plan ~cache:t.cache t.m ~workflow:sub.workflow
@@ -547,9 +561,9 @@ let execute t ts sub ~admit_s =
          let planning_s =
            Unix.gettimeofday () -. t0 +. sp.sp_planning_s
          in
-         let s1 = Musketeer.Plan_cache.stats t.cache in
+         let s1 = Musketeer.Lru.stats t.cache in
          let cache =
-           let open Musketeer.Plan_cache in
+           let open Musketeer.Lru in
            if s1.hits > s0.hits then "hit"
            else if s1.invalidations > s0.invalidations then "invalidated"
            else "miss"
@@ -568,39 +582,16 @@ let execute t ts sub ~admit_s =
            (match error with
             | Some _ -> Obs.Metrics.incr Obs.Metrics.default "serve.errors"
             | None -> ());
-           let slo_s = slo_of t sub in
-           let slo_met =
-             match deadline_of t sub with
-             | None -> true
-             | Some d -> finish_s <= d +. 1e-9
+           let o =
+             { sub; status = Served; admit_s; finish_s; queue_delay_s;
+               latency_s; makespan_s; planning_s; cache;
+               subplan_hits = sp.sp_hits; subplan_paid = sp.sp_paid;
+               subplan_attached_mb = sp.sp_attached_mb; outputs; error }
            in
-           if not slo_met then
+           if not (within_slo t o) then
              Obs.Metrics.incr Obs.Metrics.default "serve.slo_missed";
-           (match t.config.ledger with
-            | None -> ()
-            | Some filename ->
-              let record =
-                Obs.Ledger.snapshot ~since
-                  ~serve:
-                    { Obs.Ledger.tenant = sub.tenant; queue_delay_s;
-                      latency_s; cache; subplan_hits = sp.sp_hits;
-                      subplan_attached_mb = sp.sp_attached_mb;
-                      shed = None; slo_s; slo_met;
-                      breaker_open = open_breakers ();
-                      epochs =
-                        List.map
-                          (fun rel ->
-                             (rel, Engines.Scan_share.epoch t.share rel))
-                          (input_relations sub.graph) }
-                  ~workflow:sub.workflow
-                  ~ir_hash:(Ir.Dag.canonical_hash sub.graph) ~partition
-                  ~makespan_s ()
-              in
-              Obs.Ledger.append ~filename record);
-           { sub; status = Served; admit_s; finish_s; queue_delay_s;
-             latency_s; makespan_s; planning_s; cache;
-             subplan_hits = sp.sp_hits; subplan_paid = sp.sp_paid;
-             subplan_attached_mb = sp.sp_attached_mb; outputs; error }
+           record_outcome t ~since ~partition o;
+           o
          in
          match planned with
          | None ->
@@ -720,39 +711,27 @@ let over_caps t ts =
       && queued_total t > t.config.global_queue_cap)
 
 (* outcome for a submission dropped without executing (shed or
-   SLO-expired); also appended to the ledger so a restarted service —
-   and the report subcommand — see the full admission history *)
-let drop_outcome t sub ~status ~reason =
+   SLO-expired) *)
+let drop_outcome t sub ~status =
   let wait = Float.max 0. (t.now -. sub.arrival_s) in
   (match status with
-   | Shed _ ->
+   | Shed reason ->
      Obs.Metrics.incr Obs.Metrics.default "serve.shed";
      Obs.Metrics.incr Obs.Metrics.default ("serve.shed." ^ reason)
    | Expired -> Obs.Metrics.incr Obs.Metrics.default "serve.expired"
    | Served -> ());
   Obs.Metrics.observe Obs.Metrics.default
     ("serve.shed_wait_s." ^ sub.tenant) wait;
-  let cache = match status with Expired -> "expired" | _ -> "shed" in
-  (match t.config.ledger with
-   | None -> ()
-   | Some filename ->
-     let record =
-       Obs.Ledger.snapshot ~since:(Obs.Ledger.mark Obs.Metrics.default)
-         ~serve:
-           { Obs.Ledger.tenant = sub.tenant; queue_delay_s = wait;
-             latency_s = wait; cache; subplan_hits = 0;
-             subplan_attached_mb = 0.; shed = Some reason;
-             slo_s = slo_of t sub; slo_met = false; breaker_open = [];
-             epochs = [] }
-         ~workflow:sub.workflow
-         ~ir_hash:(Ir.Dag.canonical_hash sub.graph) ~partition:[]
-         ~makespan_s:0. ()
-     in
-     Obs.Ledger.append ~filename record);
-  { sub; status; admit_s = t.now; finish_s = t.now; queue_delay_s = wait;
-    latency_s = wait; makespan_s = 0.; planning_s = 0.; cache;
-    subplan_hits = 0; subplan_paid = 0; subplan_attached_mb = 0.;
-    outputs = []; error = None }
+  let o =
+    { sub; status; admit_s = t.now; finish_s = t.now; queue_delay_s = wait;
+      latency_s = wait; makespan_s = 0.; planning_s = 0.;
+      cache = (match status with Expired -> "expired" | _ -> "shed");
+      subplan_hits = 0; subplan_paid = 0; subplan_attached_mb = 0.;
+      outputs = []; error = None }
+  in
+  record_outcome t ~since:(Obs.Ledger.mark Obs.Metrics.default)
+    ~partition:[] o;
+  o
 
 (* Discrete-event loop: admit while slots are free, else advance the
    virtual clock to the next arrival or finish. Can be called
@@ -798,7 +777,7 @@ let drive t subs =
                  m "shed %s/%s at %.2fs (%s)" victim.tenant victim.workflow
                    t.now reason);
              outcomes :=
-               drop_outcome t victim ~status:(Shed reason) ~reason
+               drop_outcome t victim ~status:(Shed reason)
                :: !outcomes
            | None -> ()
          end)
@@ -834,7 +813,7 @@ let drive t subs =
               to (byte-identical) completion or not at all. No slot is
               consumed and the tenant's vtag does not advance. *)
            outcomes :=
-             drop_outcome t sub ~status:Expired ~reason:"slo-expired"
+             drop_outcome t sub ~status:Expired
              :: !outcomes
          | _ ->
            t.vwork <- Float.max start t.vwork;
@@ -926,11 +905,10 @@ let restore t ~mix records =
     (fun (_, (s : Obs.Ledger.serve_info)) ->
        List.iter
          (fun (rel, e) ->
-            if e > Engines.Scan_share.epoch t.share rel then begin
-              Engines.Scan_share.set_epoch t.share rel e;
+            if e > Engines.Share.epoch t.share rel then begin
+              Engines.Share.set_epoch t.share rel e;
               Hashtbl.replace raised rel ()
-            end;
-            Engines.Subplan_share.set_epoch t.subshare rel e)
+            end)
          s.Obs.Ledger.epochs)
     serves;
   (* breakers: the latest record per tenant wins *)
@@ -1011,7 +989,7 @@ type summary = {
   throughput_wps : float;
   latency_p50_s : float;
   latency_p99_s : float;
-  cache_stats : Musketeer.Plan_cache.stats;
+  cache_stats : Musketeer.Lru.stats;
   cache_hit_rate : float;
   plan_cold_s : float;         (** mean wall planning time on misses *)
   plan_warm_s : float;         (** mean wall planning time on hits *)
@@ -1020,7 +998,7 @@ type summary = {
   subplan_hits : int;               (** prefixes attached across the run *)
   subplan_paid : int;               (** prefixes materialized *)
   subplan_attached_mb : float;
-  subresult : Subresult_cache.stats;
+  subresult : Musketeer.Lru.stats;
   tenants : tenant_summary list;
 }
 
@@ -1033,33 +1011,18 @@ let percentile q xs =
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     List.nth sorted (max 0 (min (n - 1) (rank - 1)))
 
+let count p l = List.length (List.filter p l)
+
+let is_shed o = match o.status with Shed _ -> true | _ -> false
+
 let summarize (t : t) outcomes =
   let submitted = List.length outcomes in
   let served = List.filter (fun o -> o.status = Served) outcomes in
-  let shed =
-    List.length
-      (List.filter
-         (fun o -> match o.status with Shed _ -> true | _ -> false)
-         outcomes)
-  in
-  let expired =
-    List.length (List.filter (fun o -> o.status = Expired) outcomes)
-  in
-  let errors =
-    List.length (List.filter (fun o -> o.error <> None) served)
-  in
+  let shed = count is_shed outcomes in
+  let expired = count (fun o -> o.status = Expired) outcomes in
+  let errors = count (fun o -> o.error <> None) served in
   let completed = List.length served - errors in
-  let slo_met =
-    List.length
-      (List.filter
-         (fun o ->
-            o.error = None
-            &&
-            match deadline_of t o.sub with
-            | None -> true
-            | Some d -> o.finish_s <= d +. 1e-9)
-         served)
-  in
+  let slo_met = count (fun o -> o.error = None && within_slo t o) served in
   let finish =
     List.fold_left (fun acc o -> Float.max acc o.finish_s) 0. outcomes
   in
@@ -1082,32 +1045,15 @@ let summarize (t : t) outcomes =
     Hashtbl.fold (fun name _ acc -> name :: acc) t.tenants []
     |> List.sort String.compare
     |> List.map (fun name ->
-         let mine =
-           List.filter
-             (fun o -> o.sub.tenant = name && o.status = Served)
-             outcomes
-         in
-         let dropped =
-           List.filter
-             (fun o -> o.sub.tenant = name && o.status <> Served)
-             outcomes
-         in
+         let all = List.filter (fun o -> o.sub.tenant = name) outcomes in
+         let mine = List.filter (fun o -> o.status = Served) all in
          let queues = List.map (fun o -> o.queue_delay_s) mine in
          { st_tenant = name;
-           st_submitted = List.length mine + List.length dropped;
-           st_completed =
-             List.length (List.filter (fun o -> o.error = None) mine);
-           st_errors =
-             List.length (List.filter (fun o -> o.error <> None) mine);
-           st_shed =
-             List.length
-               (List.filter
-                  (fun o ->
-                     match o.status with Shed _ -> true | _ -> false)
-                  dropped);
-           st_expired =
-             List.length
-               (List.filter (fun o -> o.status = Expired) dropped);
+           st_submitted = List.length all;
+           st_completed = count (fun o -> o.error = None) mine;
+           st_errors = count (fun o -> o.error <> None) mine;
+           st_shed = count is_shed all;
+           st_expired = count (fun o -> o.status = Expired) all;
            st_queue_p50_s = percentile 0.50 queues;
            st_queue_p99_s = percentile 0.99 queues;
            st_latency_p99_s =
@@ -1127,8 +1073,8 @@ let summarize (t : t) outcomes =
       (if duration_s > 0. then float_of_int completed /. duration_s else 0.);
     latency_p50_s = percentile 0.50 latencies;
     latency_p99_s = percentile 0.99 latencies;
-    cache_stats = Musketeer.Plan_cache.stats t.cache;
-    cache_hit_rate = Musketeer.Plan_cache.hit_rate t.cache;
+    cache_stats = Musketeer.Lru.stats t.cache;
+    cache_hit_rate = Musketeer.Lru.hit_rate t.cache;
     plan_cold_s =
       mean
         (List.filter_map
@@ -1141,8 +1087,8 @@ let summarize (t : t) outcomes =
            (fun (o : outcome) ->
               if o.cache = "hit" then Some o.planning_s else None)
            served);
-    scan_saved_mb = Engines.Scan_share.saved_mb t.share;
-    scan_paid = Engines.Scan_share.paid_all t.share;
+    scan_saved_mb = Engines.Share.saved_mb t.share;
+    scan_paid = Engines.Share.paid_all t.share;
     subplan_hits =
       List.fold_left (fun acc (o : outcome) -> acc + o.subplan_hits) 0
         outcomes;
@@ -1153,7 +1099,7 @@ let summarize (t : t) outcomes =
       List.fold_left
         (fun acc (o : outcome) -> acc +. o.subplan_attached_mb)
         0. outcomes;
-    subresult = Subresult_cache.stats t.subcache;
+    subresult = Musketeer.Lru.stats t.subresults;
     tenants;
   }
 
@@ -1175,9 +1121,8 @@ let pp_summary ppf s =
   Format.fprintf ppf
     "  plan cache    %.1f%% hits (%d hit / %d miss / %d invalidated)@."
     (100. *. s.cache_hit_rate)
-    s.cache_stats.Musketeer.Plan_cache.hits
-    s.cache_stats.Musketeer.Plan_cache.misses
-    s.cache_stats.Musketeer.Plan_cache.invalidations;
+    s.cache_stats.Musketeer.Lru.hits s.cache_stats.Musketeer.Lru.misses
+    s.cache_stats.Musketeer.Lru.invalidations;
   if s.plan_warm_s > 0. then
     Format.fprintf ppf "  planning      cold %.2fms  warm %.3fms (%.0f×)@."
       (1e3 *. s.plan_cold_s) (1e3 *. s.plan_warm_s)
@@ -1190,8 +1135,7 @@ let pp_summary ppf s =
       "  subplans      %d attached (%.0f MB), %d materialized; cache %d \
        entries %.0f MB@."
       s.subplan_hits s.subplan_attached_mb s.subplan_paid
-      s.subresult.Subresult_cache.entries
-      s.subresult.Subresult_cache.bytes_mb;
+      s.subresult.Musketeer.Lru.entries s.subresult.Musketeer.Lru.size;
   List.iter
     (fun ts ->
        Format.fprintf ppf

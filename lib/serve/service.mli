@@ -2,11 +2,14 @@
 
     A service wraps one {!Musketeer.t} and one shared HDFS instance and
     accepts concurrent workflow submissions through an admission queue.
-    Three mechanisms amortize work across traffic, each independently
-    observable:
+    It keeps one flight table ({!Engines.Share}: one epoch registry, one
+    flight per submission) and two instances of one LRU
+    ({!Musketeer.Lru}: plans and sub-results). Four mechanisms amortize
+    work across traffic, each independently observable:
 
-    - a {b plan cache} ({!Musketeer.Plan_cache}): repeat submissions
-      skip optimize/estimate/partition; hits are validated against the
+    - a {b plan cache} (an LRU stamped with
+      {!Musketeer.Plan_cache.fingerprint}): repeat submissions skip
+      optimize/estimate/partition; hits are validated against the
       breaker-filtered backend set, calibration factors and input
       sizes via the fingerprint;
     - a {b weighted fair admission scheduler} with a concurrency cap:
@@ -15,14 +18,14 @@
       lookups (per-tenant [serve.queue_delay_s.<tenant>] histograms;
       circuit breakers become per-tenant via
       {!Engines.Breaker.with_tenant});
-    - {b cross-workflow shared scans} ({!Engines.Scan_share}):
-      co-admitted workflows naming the same INPUT relation pay one
-      modeled HDFS read, with epoch invalidation on overwrite;
-    - {b common-subplan sharing} ({!Engines.Subplan_share} +
-      {!Subresult_cache}, gated on [subresult_cache_mb > 0]): DAG
+    - {b cross-workflow shared scans} (scan entries of the flight
+      table): co-admitted workflows naming the same INPUT relation pay
+      one modeled HDFS read, with epoch invalidation on overwrite;
+    - {b common-subplan sharing} (subplan entries of the flight table +
+      the sub-result LRU, gated on [subresult_cache_mb > 0]): DAG
       prefixes with equal subtree hashes execute once — co-admitted
-      workflows attach to the payer's materialized output, and a
-      bounded LRU-by-bytes sub-result cache carries materializations
+      workflows attach to the payer's materialized output, and the
+      sub-result cache (sized in modeled MB) carries materializations
       across time; attached prefixes are rewritten to synthetic INPUTs
       ({!Musketeer.Subplan.cut}) so the planner prices them at one
       HDFS read + zero compute.
@@ -92,10 +95,11 @@ val shed_policy_of_string : string -> shed_policy option
 
 type config = {
   concurrency : int;                (** admission slots (default 4) *)
-  cache_capacity : int;             (** plan-cache entries (default 128) *)
+  cache_capacity : int;
+      (** plan-cache entries (default 128); [0] caches no plan *)
   subresult_cache_mb : float;
       (** sub-result cache budget in modeled MB; [0.] (the default)
-          disables subplan sharing entirely *)
+          caches nothing and disables subplan sharing entirely *)
   weights : (string * float) list;  (** tenant → WFQ weight (default 1) *)
   ledger : string option;           (** JSONL run ledger to append to *)
   tenant_queue_cap : int;           (** max queued per tenant; 0 = unbounded *)
@@ -129,23 +133,22 @@ type t
 
 val create : ?config:config -> Musketeer.t -> hdfs:Engines.Hdfs.t -> t
 
-val cache : t -> Musketeer.Plan_cache.t
+val cache : t -> Musketeer.plan_cache
 
-val share : t -> Engines.Scan_share.t
+(** The flight table: its epoch registry is the one every engine write,
+    {!put_input}, {!restore} and sub-result freshness read. *)
+val share : t -> Engines.Share.t
 
-val subplan_share : t -> Engines.Subplan_share.t
-
-val subresult_cache : t -> Subresult_cache.t
-
-(** Overwrite an input relation out-of-band: epoch-invalidates shared
-    scans and (via the size fingerprint) cached plans reading it. *)
+(** Overwrite an input relation out-of-band: bumps its epoch, which
+    invalidates flight entries and cached sub-results that read it, and
+    (via the size fingerprint) cached plans reading it. *)
 val put_input :
   t -> string -> ?modeled_mb:float -> Relation.Table.t -> unit
 
 (** Run the discrete-event loop over a batch of submissions, returning
     their outcomes in admission order. May be called repeatedly: the
-    virtual clock, fair-queueing tags, plan cache and scan-share
-    epochs persist across calls. *)
+    virtual clock, fair-queueing tags, caches and epochs persist across
+    calls. *)
 val drive : t -> submission list -> outcome list
 
 (** [create] + [drive], returning the service for inspection. *)
@@ -153,8 +156,7 @@ val run :
   ?config:config -> Musketeer.t -> hdfs:Engines.Hdfs.t ->
   submission list -> outcome list * t
 
-(** Scan- plus subplan-share flights currently open. Zero after every
-    [drive] returns — a leaked flight means a failed payer left entries
+(** Flights currently open. Zero after every [drive] returns — a leaked flight means a failed payer left entries
     attachers could still claim (the CI chaos smoke gates on this). *)
 val open_flights : t -> int
 
@@ -170,7 +172,7 @@ type restore_stats = {
 
 (** [restore t ~mix records] replays warm state a crash lost from the
     run ledger into a freshly created service: re-fits calibration,
-    raises scan/subplan epochs to the recorded per-relation maxima,
+    raises relation epochs to the recorded per-relation maxima,
     re-opens per-tenant breakers recorded open (when the breaker is
     enabled), and re-plans every distinct ledger workflow found in
     [mix] (name → graph) once, in first-appearance order. Call before
@@ -208,7 +210,7 @@ type summary = {
   throughput_wps : float;
   latency_p50_s : float;
   latency_p99_s : float;
-  cache_stats : Musketeer.Plan_cache.stats;
+  cache_stats : Musketeer.Lru.stats;
   cache_hit_rate : float;
   plan_cold_s : float;  (** mean wall planning seconds on misses *)
   plan_warm_s : float;  (** mean wall planning seconds on hits *)
@@ -217,7 +219,7 @@ type summary = {
   subplan_hits : int;     (** prefixes attached across the run *)
   subplan_paid : int;     (** prefixes materialized *)
   subplan_attached_mb : float;
-  subresult : Subresult_cache.stats;
+  subresult : Musketeer.Lru.stats;
   tenants : tenant_summary list;  (** sorted by tenant name *)
 }
 

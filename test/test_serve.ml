@@ -86,43 +86,36 @@ let config ?(concurrency = 4) ?(weights = []) ?(subresult_cache_mb = 0.) () =
 let sub ?(tenant = "t") ?(workflow = "agg") ?slo ~at graph =
   { Serve.Service.tenant; workflow; graph; arrival_s = at; slo_s = slo }
 
-let delta (a : Musketeer.Plan_cache.stats) (b : Musketeer.Plan_cache.stats) =
-  Musketeer.Plan_cache.
-    { hits = b.hits - a.hits;
-      misses = b.misses - a.misses;
-      invalidations = b.invalidations - a.invalidations }
+let delta (a : Musketeer.Lru.stats) (b : Musketeer.Lru.stats) =
+  (b.hits - a.hits, b.misses - a.misses, b.invalidations - a.invalidations)
 
-let check_stats what (want_h, want_m, want_i)
-    (d : Musketeer.Plan_cache.stats) =
-  Alcotest.(check (triple int int int))
-    what (want_h, want_m, want_i)
-    (d.hits, d.misses, d.invalidations)
+let check_stats what want d = Alcotest.(check (triple int int int)) what want d
 
 (* ---- plan cache via [Musketeer.plan ~cache] ---- *)
 
 let plan_once ~cache m ~hdfs g =
-  let before = Musketeer.Plan_cache.stats cache in
+  let before = Musketeer.Lru.stats cache in
   (match Musketeer.plan ~cache m ~workflow:"wf" ~hdfs g with
    | Some _ -> ()
    | None -> Alcotest.fail "graph should plan");
-  delta before (Musketeer.Plan_cache.stats cache)
+  delta before (Musketeer.Lru.stats cache)
 
 let test_cache_miss_then_hit () =
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
-  let cache = Musketeer.Plan_cache.create () in
+  let cache = Musketeer.plan_cache ~capacity:128 in
   let g = agg_graph () in
   check_stats "first plan misses" (0, 1, 0) (plan_once ~cache m ~hdfs g);
   check_stats "second plan hits" (1, 0, 0) (plan_once ~cache m ~hdfs g);
   (* a structurally equal graph built separately hits the same entry *)
   check_stats "equal graph hits" (1, 0, 0)
     (plan_once ~cache m ~hdfs (agg_graph ()));
-  Alcotest.(check int) "one entry" 1 (Musketeer.Plan_cache.size cache)
+  Alcotest.(check int) "one entry" 1 (Musketeer.Lru.stats cache).entries
 
 let test_cache_invalidate_on_input_size () =
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
-  let cache = Musketeer.Plan_cache.create () in
+  let cache = Musketeer.plan_cache ~capacity:128 in
   let g = agg_graph () in
   ignore (plan_once ~cache m ~hdfs g);
   (* same bytes, different modeled size: the fingerprint must move *)
@@ -134,7 +127,7 @@ let test_cache_invalidate_on_input_size () =
 let test_cache_invalidate_on_calibration () =
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
-  let cache = Musketeer.Plan_cache.create () in
+  let cache = Musketeer.plan_cache ~capacity:128 in
   let g = agg_graph () in
   Fun.protect ~finally:(fun () -> Musketeer.Calibrate.install []) @@ fun () ->
   ignore (plan_once ~cache m ~hdfs g);
@@ -147,7 +140,7 @@ let test_cache_invalidate_on_calibration () =
 let test_cache_invalidate_on_breaker () =
   let hdfs = fresh_hdfs () in
   let m = Experiments.Common.musketeer_for cluster in
-  let cache = Musketeer.Plan_cache.create () in
+  let cache = Musketeer.plan_cache ~capacity:128 in
   let g = agg_graph () in
   Engines.Breaker.enable ~threshold:1 ~window:4 ();
   Fun.protect ~finally:(fun () -> Engines.Breaker.disable ()) @@ fun () ->
@@ -163,42 +156,42 @@ let test_cache_invalidate_on_breaker () =
 (* ---- cross-workflow scan share ---- *)
 
 let test_scan_share_pays_once () =
-  let sh = Engines.Scan_share.create () in
+  let sh = Engines.Share.create () in
   Alcotest.(check bool) "first claim pays" false
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+    (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.);
   Alcotest.(check bool) "second claim rides free" true
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+    (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.);
   Alcotest.(check int) "one paid read" 1
-    (Engines.Scan_share.paid_reads sh "r");
+    (Engines.Share.paid_reads sh "r");
   Alcotest.(check (float 1e-9)) "64 MB saved" 64.
-    (Engines.Scan_share.saved_mb sh)
+    (Engines.Share.saved_mb sh)
 
 let test_scan_share_epoch_invalidation () =
-  let sh = Engines.Scan_share.create () in
-  ignore (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
-  let e0 = Engines.Scan_share.epoch sh "r" in
-  Engines.Scan_share.note_write sh "r";
+  let sh = Engines.Share.create () in
+  ignore (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.);
+  let e0 = Engines.Share.epoch sh "r" in
+  Engines.Share.note_write sh "r";
   Alcotest.(check bool) "epoch bumped" true
-    (Engines.Scan_share.epoch sh "r" > e0);
+    (Engines.Share.epoch sh "r" > e0);
   Alcotest.(check bool) "stale entry pays again" false
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+    (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.);
   Alcotest.(check int) "two paid reads" 2
-    (Engines.Scan_share.paid_reads sh "r")
+    (Engines.Share.paid_reads sh "r")
 
 let test_scan_share_flight_expiry () =
-  let sh = Engines.Scan_share.create () in
-  let f = Engines.Scan_share.begin_flight sh in
-  Engines.Scan_share.with_flight sh f (fun () ->
+  let sh = Engines.Share.create () in
+  let f = Engines.Share.begin_flight sh in
+  Engines.Share.with_flight sh f (fun () ->
       Alcotest.(check bool) "payer pays in flight" false
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+        (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.);
       Alcotest.(check bool) "co-flight rides free" true
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.));
-  Engines.Scan_share.end_flight sh f;
+        (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.));
+  Engines.Share.end_flight sh f;
   (* the payer landed, its entry expired: the next reader pays *)
   Alcotest.(check bool) "post-flight claim pays" false
-    (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+    (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.);
   Alcotest.(check int) "two paid reads" 2
-    (Engines.Scan_share.paid_reads sh "r")
+    (Engines.Share.paid_reads sh "r")
 
 (* A flight re-claiming its own paid scan (several jobs of one
    submission, or a cached plan replaying its scans) rides free but
@@ -208,28 +201,28 @@ let test_scan_share_intra_flight_counters () =
   let metric name = Obs.Metrics.counter Obs.Metrics.default name in
   let cross0 = metric "scan.cross_workflow"
   and intra0 = metric "scan.intra_flight" in
-  let sh = Engines.Scan_share.create () in
-  let f = Engines.Scan_share.begin_flight sh in
-  Engines.Scan_share.with_flight sh f (fun () ->
+  let sh = Engines.Share.create () in
+  let f = Engines.Share.begin_flight sh in
+  Engines.Share.with_flight sh f (fun () ->
       Alcotest.(check bool) "payer pays" false
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.);
+        (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.);
       Alcotest.(check bool) "same flight rides free" true
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.));
+        (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.));
   Alcotest.(check int) "intra-flight counted" (intra0 + 1)
     (metric "scan.intra_flight");
   Alcotest.(check int) "cross counter untouched" cross0
     (metric "scan.cross_workflow");
   Alcotest.(check (float 1e-9)) "no phantom savings" 0.
-    (Engines.Scan_share.saved_mb sh);
+    (Engines.Share.saved_mb sh);
   (* a genuinely co-admitted flight still counts as cross-workflow *)
-  let f2 = Engines.Scan_share.begin_flight sh in
-  Engines.Scan_share.with_flight sh f2 (fun () ->
+  let f2 = Engines.Share.begin_flight sh in
+  Engines.Share.with_flight sh f2 (fun () ->
       Alcotest.(check bool) "co-admitted flight rides free" true
-        (Engines.Scan_share.claim sh ~relation:"r" ~mb:64.));
+        (Engines.Share.claim_scan sh ~relation:"r" ~mb:64.));
   Alcotest.(check int) "cross counted exactly once" (cross0 + 1)
     (metric "scan.cross_workflow");
   Alcotest.(check (float 1e-9)) "cross savings recorded" 64.
-    (Engines.Scan_share.saved_mb sh)
+    (Engines.Share.saved_mb sh)
 
 (* Regression: sequential repeat traffic (no co-admission overlap)
    must pin the cross-workflow scan counters at zero — plan-cache hits
@@ -293,6 +286,85 @@ let test_put_input_invalidates () =
   Serve.Service.put_input svc "r1" ~modeled_mb:256. (kv_table 1);
   Alcotest.(check string) "after overwrite" "invalidated" (label 20.);
   Alcotest.(check string) "warm again" "hit" (label 30.)
+
+(* cache_capacity = 0 caches no plan: every submission plans from
+   scratch, and the bytes are those of a one-shot run *)
+let test_zero_plan_cache () =
+  let hdfs = fresh_hdfs () in
+  let m = Experiments.Common.musketeer_for cluster in
+  let mix =
+    [ ("agg", agg_graph ()); ("light", light_graph ());
+      ("heavy", heavy_graph ()) ]
+  in
+  let one_shot g =
+    let hdfs = fresh_hdfs () in
+    match Musketeer.plan m ~workflow:"one-shot" ~hdfs g with
+    | None -> Alcotest.fail "graph should plan"
+    | Some (plan, g') -> (
+      match
+        Musketeer.execute_plan ~record_history:false m ~workflow:"one-shot"
+          ~hdfs ~graph:g' plan
+      with
+      | Error e -> Alcotest.fail (Engines.Report.error_to_string e)
+      | Ok r -> sorted_csv r.Musketeer.Executor.outputs)
+  in
+  let subs =
+    List.concat
+      (List.init 3 (fun i ->
+           List.map
+             (fun (workflow, g) ->
+                sub ~tenant:workflow ~workflow ~at:(float_of_int i) g)
+             mix))
+  in
+  let cfg = { (config ()) with Serve.Service.cache_capacity = 0 } in
+  let outcomes, svc = Serve.Service.run ~config:cfg m ~hdfs subs in
+  Alcotest.(check int) "all served" (List.length subs) (List.length outcomes);
+  List.iter
+    (fun (o : Serve.Service.outcome) ->
+       Alcotest.(check (option string)) "no error" None o.error;
+       Alcotest.(check string) "never a hit" "miss" o.cache;
+       Alcotest.(check bool) "byte-identical to one-shot" true
+         (sorted_csv o.outputs = one_shot o.sub.Serve.Service.graph))
+    outcomes;
+  Alcotest.(check int) "no plan stored" 0
+    (Musketeer.Lru.stats (Serve.Service.cache svc)).Musketeer.Lru.entries
+
+(* put_input bumps the one epoch that scan claims, subplan claims and
+   sub-result freshness all read — once, not once per layer *)
+let test_put_input_bumps_one_epoch () =
+  let hdfs = fresh_hdfs () in
+  let m = Experiments.Common.musketeer_for cluster in
+  let svc =
+    Serve.Service.create ~config:(config ~subresult_cache_mb:256. ()) m ~hdfs
+  in
+  let g = agg_graph () in
+  let serve at =
+    match Serve.Service.drive svc [ sub ~at g ] with
+    | [ o ] ->
+      Alcotest.(check (option string)) "no error" None o.error;
+      (o.subplan_hits, o.subplan_paid)
+    | _ -> Alcotest.fail "one outcome expected"
+  in
+  Alcotest.(check (pair int int)) "first submission pays" (0, 1) (serve 0.);
+  let sh = Serve.Service.share svc in
+  (* everlasting entries, paid outside any flight *)
+  Alcotest.(check bool) "scan paid" false
+    (Engines.Share.claim_scan sh ~relation:"r1" ~mb:64.);
+  let key = "fnv1a:put-input" in
+  ignore (Engines.Share.publish sh ~key ~inputs:[ "r1" ] ~mb:5. (kv_table 1));
+  let e0 = Engines.Share.epoch sh "r1" in
+  Serve.Service.put_input svc "r1" ~modeled_mb:64. (kv_table 1);
+  Alcotest.(check int) "exactly one bump" (e0 + 1)
+    (Engines.Share.epoch sh "r1");
+  Alcotest.(check bool) "scan claim pays again" false
+    (Engines.Share.claim_scan sh ~relation:"r1" ~mb:64.);
+  Alcotest.(check bool) "subplan claim refused" true
+    (Engines.Share.claim_subplan sh ~key = None);
+  let s = (Serve.Service.summarize svc []).Serve.Service.subresult in
+  Alcotest.(check (pair int int)) "stale sub-result dropped" (0, 1)
+    (s.Musketeer.Lru.entries, s.Musketeer.Lru.invalidations);
+  Alcotest.(check (pair int int)) "the next submission repays" (0, 1)
+    (serve 10000.)
 
 (* start-time fair queueing: with weights 2:1, equal-cost backlogs and
    one admission slot, tenant "a" gets exactly two admissions per "b".
@@ -556,7 +628,7 @@ let test_failed_payer_expires_flights () =
     (Serve.Service.open_flights svc);
   Alcotest.(check int)
     "each failed submission paid its own r1 scan" 2
-    (Engines.Scan_share.paid_reads (Serve.Service.share svc) "r1")
+    (Engines.Share.paid_reads (Serve.Service.share svc) "r1")
 
 (* an empty retry bucket degrades to fail-fast; an unlimited one
    retries through the injected rejection *)
@@ -627,7 +699,7 @@ let test_restore_replays_ledger () =
   Alcotest.(check int) "Spark re-opened" 1 stats.Serve.Service.r_breakers;
   Alcotest.(check int) "one epoch raised" 1 stats.Serve.Service.r_epochs;
   Alcotest.(check int) "scan epoch at the recorded maximum" 5
-    (Engines.Scan_share.epoch (Serve.Service.share svc) "r1");
+    (Engines.Share.epoch (Serve.Service.share svc) "r1");
   Alcotest.(check bool) "Spark quarantined for gold" true
     (Engines.Breaker.with_tenant "gold" (fun () ->
          Engines.Breaker.quarantined Engines.Backend.Spark));
@@ -856,6 +928,10 @@ let () =
            test_serve_cache_labels;
          Alcotest.test_case "put_input invalidates cached plans" `Quick
            test_put_input_invalidates;
+         Alcotest.test_case "cache capacity 0 never hits" `Quick
+           test_zero_plan_cache;
+         Alcotest.test_case "put_input bumps one epoch" `Quick
+           test_put_input_bumps_one_epoch;
          Alcotest.test_case "weighted fair admission order" `Quick
            test_wfq_weighted_order;
          Alcotest.test_case "breaker isolates tenants" `Quick

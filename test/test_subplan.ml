@@ -1,9 +1,9 @@
 (* Common-subplan sharing: per-node subtree hashes (stability, rebuild
    invalidation), the shared-prefix matcher (frontier, diamonds, WHILE
    protection, fusion barriers), graph surgery ([Subplan.cut] /
-   [extract] byte identity), the co-admission flight table
-   ([Engines.Subplan_share]), the bounded LRU sub-result cache
-   ([Serve.Subresult_cache]) and the served end-to-end behaviour:
+   [extract] byte identity), subplan entries of the flight table
+   ([Engines.Share]), the sub-result instance of the one LRU
+   ([Musketeer.Lru]) and the served end-to-end behaviour:
    repeat traffic pays a shared prefix once per input epoch and stays
    byte-identical to one-shot runs under jobs x fusion x columnar. *)
 
@@ -353,97 +353,138 @@ let test_cut_byte_identity () =
 (* ---- the co-admission flight table ---- *)
 
 let test_subplan_share_window () =
-  let t = Engines.Subplan_share.create () in
+  let t = Engines.Share.create () in
   let key = "fnv1a:abc|fusion=false|columnar=false" in
   let table = kv_table 1 in
   Alcotest.(check bool)
     "nothing to claim before publish" true
-    (Engines.Subplan_share.claim t ~key = None);
-  Engines.Subplan_share.with_flight t
-    (Engines.Subplan_share.begin_flight t)
-    (fun () ->
-      Engines.Subplan_share.publish t ~key ~inputs:[ "r1" ] ~mb:12. table);
+    (Engines.Share.claim_subplan t ~key = None);
+  Engines.Share.with_flight t (Engines.Share.begin_flight t) (fun () ->
+      ignore (Engines.Share.publish t ~key ~inputs:[ "r1" ] ~mb:12. table));
   (* the payer's flight is still open: a co-admitted claim attaches *)
-  (match Engines.Subplan_share.claim t ~key with
+  (match Engines.Share.claim_subplan t ~key with
   | Some (tbl, mb) ->
     Alcotest.(check bool) "same table" true (tbl == table);
     Alcotest.(check (float 1e-9)) "modeled MB" 12. mb
   | None -> Alcotest.fail "claim should attach while payer in flight");
-  Alcotest.(check int)
-    "paid once" 1
-    (Engines.Subplan_share.paid_count t ~key);
+  Alcotest.(check int) "paid once" 1 (Engines.Share.paid_count t ~key);
   (* hash-equal subtrees reading different INPUT epochs never match:
      a write to a transitively-read input drops the entry *)
-  Engines.Subplan_share.note_write t "r1";
+  Engines.Share.note_write t "r1";
   Alcotest.(check bool)
     "claim refused after input epoch bump" true
-    (Engines.Subplan_share.claim t ~key = None)
+    (Engines.Share.claim_subplan t ~key = None)
 
 let test_subplan_share_payer_expiry () =
-  let t = Engines.Subplan_share.create () in
+  let t = Engines.Share.create () in
   let key = "fnv1a:def|fusion=false|columnar=false" in
-  let f = Engines.Subplan_share.begin_flight t in
-  Engines.Subplan_share.with_flight t f (fun () ->
-      Engines.Subplan_share.publish t ~key ~inputs:[ "r1" ] ~mb:5.
-        (kv_table 2));
-  Engines.Subplan_share.end_flight t f;
+  let f = Engines.Share.begin_flight t in
+  Engines.Share.with_flight t f (fun () ->
+      ignore
+        (Engines.Share.publish t ~key ~inputs:[ "r1" ] ~mb:5. (kv_table 2)));
+  Engines.Share.end_flight t f;
   Alcotest.(check bool)
     "entries expire with the payer's flight" true
-    (Engines.Subplan_share.claim t ~key = None)
+    (Engines.Share.claim_subplan t ~key = None)
+
+(* one flight pays a scan and publishes a subplan; a co-admitted flight
+   rides on both; ending the payer's flight expires both kinds *)
+let test_one_flight_expires_both () =
+  let t = Engines.Share.create () in
+  let key = "fnv1a:abc|fusion=false|columnar=false" in
+  let payer = Engines.Share.begin_flight t in
+  Engines.Share.with_flight t payer (fun () ->
+      Alcotest.(check bool) "payer pays the scan" false
+        (Engines.Share.claim_scan t ~relation:"r1" ~mb:64.);
+      ignore
+        (Engines.Share.publish t ~key ~inputs:[ "r1" ] ~mb:5. (kv_table 1)));
+  let rider = Engines.Share.begin_flight t in
+  Engines.Share.with_flight t rider (fun () ->
+      Alcotest.(check bool) "co-admitted scan rides free" true
+        (Engines.Share.claim_scan t ~relation:"r1" ~mb:64.);
+      Alcotest.(check bool) "co-admitted subplan attaches" true
+        (Engines.Share.claim_subplan t ~key <> None));
+  Alcotest.(check int) "one flight per submission" 2
+    (Engines.Share.open_flights t);
+  Engines.Share.end_flight t rider;
+  Engines.Share.end_flight t payer;
+  Alcotest.(check int) "no open flights" 0 (Engines.Share.open_flights t);
+  Alcotest.(check bool) "scan entry expired: the next reader pays" false
+    (Engines.Share.claim_scan t ~relation:"r1" ~mb:64.);
+  Alcotest.(check bool) "subplan entry expired" true
+    (Engines.Share.claim_subplan t ~key = None)
 
 (* ---- the bounded sub-result cache ---- *)
 
+let subresults () =
+  Musketeer.Lru.create ~metric:"test.subresult" ~capacity:100. ~size:snd
+
+(* a stamp of (relation, epoch) pairs validates against [epoch] *)
+let fresh epoch = List.for_all (fun (rel, ep) -> epoch rel = ep)
+
+let lookup c key ~epoch = Musketeer.Lru.find c key ~valid:(fresh epoch)
+
+let is_hit = function Musketeer.Lru.Hit _ -> true | _ -> false
+
 let test_subresult_cache_lru () =
-  let c = Serve.Subresult_cache.create ~capacity_mb:100. in
+  let c = subresults () in
   let epoch _ = 0 in
   let t = kv_table 1 in
-  Serve.Subresult_cache.insert c ~key:"a" ~inputs:[ ("r1", 0) ] ~mb:40. t;
-  Serve.Subresult_cache.insert c ~key:"b" ~inputs:[ ("r1", 0) ] ~mb:40. t;
+  Musketeer.Lru.add c "a" ~stamp:[ ("r1", 0) ] (t, 40.);
+  Musketeer.Lru.add c "b" ~stamp:[ ("r1", 0) ] (t, 40.);
   (* touch "a" so "b" is the LRU entry when "c" needs room *)
+  Alcotest.(check bool) "a cached" true (is_hit (lookup c "a" ~epoch));
+  Musketeer.Lru.add c "c" ~stamp:[ ("r1", 0) ] (t, 40.);
   Alcotest.(check bool)
-    "a cached" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch <> None);
-  Serve.Subresult_cache.insert c ~key:"c" ~inputs:[ ("r1", 0) ] ~mb:40. t;
-  Alcotest.(check bool)
-    "LRU entry b evicted" true
-    (Serve.Subresult_cache.find c ~key:"b" ~epoch = None);
-  Alcotest.(check bool)
-    "a survives" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch <> None);
-  Alcotest.(check bool)
-    "c cached" true
-    (Serve.Subresult_cache.find c ~key:"c" ~epoch <> None);
+    "LRU entry b evicted" false
+    (is_hit (lookup c "b" ~epoch));
+  Alcotest.(check bool) "a survives" true (is_hit (lookup c "a" ~epoch));
+  Alcotest.(check bool) "c cached" true (is_hit (lookup c "c" ~epoch));
   (* an entry bigger than the whole budget is refused *)
-  Serve.Subresult_cache.insert c ~key:"huge" ~inputs:[] ~mb:500. t;
+  Musketeer.Lru.add c "huge" ~stamp:[] (t, 500.);
   Alcotest.(check bool)
-    "over-capacity entry not cached" true
-    (Serve.Subresult_cache.find c ~key:"huge" ~epoch = None);
-  let s = Serve.Subresult_cache.stats c in
-  Alcotest.(check int) "one eviction" 1 s.Serve.Subresult_cache.evictions;
+    "over-capacity entry not cached" false
+    (is_hit (lookup c "huge" ~epoch));
+  let s = Musketeer.Lru.stats c in
+  Alcotest.(check int) "one eviction" 1 s.Musketeer.Lru.evictions;
   Alcotest.(check (float 1e-9))
-    "bytes within budget" 80. s.Serve.Subresult_cache.bytes_mb
+    "bytes within budget" 80. s.Musketeer.Lru.size
 
 let test_subresult_cache_epochs () =
-  let c = Serve.Subresult_cache.create ~capacity_mb:100. in
+  let c = subresults () in
   let t = kv_table 1 in
-  Serve.Subresult_cache.insert c ~key:"a" ~inputs:[ ("r1", 3) ] ~mb:10. t;
+  Musketeer.Lru.add c "a" ~stamp:[ ("r1", 3) ] (t, 10.);
   Alcotest.(check bool)
     "fresh epoch hits" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch:(fun _ -> 3) <> None);
+    (is_hit (lookup c "a" ~epoch:(fun _ -> 3)));
+  Alcotest.(check string)
+    "stale epoch dropped, never served" "invalidated"
+    (Musketeer.Lru.label (lookup c "a" ~epoch:(fun _ -> 4)));
+  Alcotest.(check string)
+    "dropped for good" "miss"
+    (Musketeer.Lru.label (lookup c "a" ~epoch:(fun _ -> 3)));
+  Musketeer.Lru.add c "b" ~stamp:[ ("r2", 0) ] (t, 10.);
+  (* r2 moved on: a sweep drops the entry without waiting for a probe *)
+  Musketeer.Lru.sweep c ~valid:(fresh (fun rel -> if rel = "r2" then 1 else 0));
   Alcotest.(check bool)
-    "stale epoch dropped, never served" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch:(fun _ -> 4) = None);
-  Alcotest.(check bool)
-    "dropped for good" true
-    (Serve.Subresult_cache.find c ~key:"a" ~epoch:(fun _ -> 3) = None);
-  Serve.Subresult_cache.insert c ~key:"b" ~inputs:[ ("r2", 0) ] ~mb:10. t;
-  Serve.Subresult_cache.invalidate c ~relation:"r2";
-  Alcotest.(check bool)
-    "invalidate by relation" true
-    (Serve.Subresult_cache.find c ~key:"b" ~epoch:(fun _ -> 0) = None);
-  let s = Serve.Subresult_cache.stats c in
+    "invalidate by relation" false
+    (is_hit (lookup c "b" ~epoch:(fun _ -> 0)));
+  let s = Musketeer.Lru.stats c in
   Alcotest.(check int)
-    "two invalidations" 2 s.Serve.Subresult_cache.invalidations
+    "two invalidations" 2 s.Musketeer.Lru.invalidations;
+  (* hits, misses and invalidations are disjoint: the stale probe is
+     not also a miss *)
+  Alcotest.(check (pair int int))
+    "one hit, two misses" (1, 2) (s.Musketeer.Lru.hits, s.Musketeer.Lru.misses)
+
+(* a capacity of 0 stores nothing, whatever the entry's size *)
+let test_lru_zero_capacity () =
+  let c = Musketeer.Lru.create ~metric:"test.lru" ~capacity:0. ~size:Fun.id in
+  Musketeer.Lru.add c "k" ~stamp:() 0.;
+  Musketeer.Lru.add c "j" ~stamp:() 1.;
+  Alcotest.(check string) "nothing stored" "miss"
+    (Musketeer.Lru.label (Musketeer.Lru.find c "k" ~valid:(fun () -> true)));
+  Alcotest.(check int) "no entries" 0 (Musketeer.Lru.stats c).Musketeer.Lru.entries
 
 (* ---- served end-to-end ---- *)
 
@@ -493,10 +534,10 @@ let test_serve_pays_once_per_epoch () =
       "pays again after the input epoch bump" (0, 1)
       (o4.Serve.Service.subplan_hits, o4.Serve.Service.subplan_paid)
   | l -> Alcotest.failf "expected 1 outcome, got %d" (List.length l));
-  let s = Serve.Subresult_cache.stats (Serve.Service.subresult_cache service) in
+  let s = (Serve.Service.summarize service []).Serve.Service.subresult in
   Alcotest.(check bool)
     "cache holds the rematerialized prefix" true
-    (s.Serve.Subresult_cache.entries >= 1)
+    (s.Musketeer.Lru.entries >= 1)
 
 (* Co-admission: two overlapping submissions of hash-equal graphs
    share one materialization through the flight table. *)
@@ -623,11 +664,15 @@ let () =
        [ Alcotest.test_case "publish/claim within a flight window" `Quick
            test_subplan_share_window;
          Alcotest.test_case "payer expiry" `Quick
-           test_subplan_share_payer_expiry ]);
+           test_subplan_share_payer_expiry;
+         Alcotest.test_case "one flight expires scan and subplan entries"
+           `Quick test_one_flight_expires_both ]);
       ("subresult_cache",
        [ Alcotest.test_case "LRU by bytes" `Quick test_subresult_cache_lru;
          Alcotest.test_case "epoch revalidation" `Quick
-           test_subresult_cache_epochs ]);
+           test_subresult_cache_epochs;
+         Alcotest.test_case "capacity 0 stores nothing" `Quick
+           test_lru_zero_capacity ]);
       ("service",
        [ Alcotest.test_case "pays once per input epoch" `Quick
            test_serve_pays_once_per_epoch;
