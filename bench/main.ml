@@ -135,8 +135,8 @@ let bechamel () =
    Times each hot kernel on NetFlix-scale synthetic tables three ways:
    the row engine with the columnar gate off at jobs=1 (the pre-columnar
    serial baseline), and the columnar path at jobs=1 and at the parallel
-   jobs count. All three outputs must be byte-identical (CSV compare;
-   fatal otherwise). Ratios are row-baseline / columnar — ≥ 1.0 means
+   jobs count. All three outputs must be byte-identical (CSV and
+   encoded_bytes compare; fatal otherwise). Ratios are row-baseline / columnar — ≥ 1.0 means
    the vectorized path is no slower than the engine it replaced.
    Writes BENCH_kernels.json; with MUSKETEER_BENCH_GATE=1 (CI) the run
    fails if any ratio drops below 1.0. On a single-core machine jobs=4
@@ -173,6 +173,21 @@ let kernels_par () =
       (Array.init movies_n (fun i ->
            [| Value.Int i; Value.Int (1950 + (i mod 60)) |]))
   in
+  (* k-means' assignment step: every point against every centroid,
+     4000 x 100 = 400k output rows *)
+  let points, centroids =
+    let xy prefix id n =
+      Table.create_unchecked
+        (Schema.make
+           [ { Schema.name = id; ty = Value.Tint };
+             { Schema.name = prefix ^ "x"; ty = Value.Tfloat };
+             { Schema.name = prefix ^ "y"; ty = Value.Tfloat } ])
+        (Array.init n (fun i ->
+             [| Value.Int i; Value.Float (float_of_int (i * 37 mod 1000));
+                Value.Float (float_of_int (i * 91 mod 1000)) |]))
+    in
+    (xy "p" "pid" 4000, xy "c" "cid" 100)
+  in
   let kernels =
     [ ("select", fun () -> Kernel.select ratings Expr.(col "rating" >= int 4));
       ("project", fun () -> Kernel.project ratings [ "user"; "rating" ]);
@@ -186,6 +201,13 @@ let kernels_par () =
             ~aggs:
               [ Aggregate.make (Aggregate.Sum "rating") ~as_name:"total";
                 Aggregate.make Aggregate.Count ~as_name:"n" ]);
+      (* NetFlix's composite-key GROUP BYs (sims, userscores) *)
+      ("group_by_2key", fun () ->
+          Kernel.group_by ratings ~keys:[ "movie"; "rating" ]
+            ~aggs:
+              [ Aggregate.make (Aggregate.Sum "user") ~as_name:"total";
+                Aggregate.make Aggregate.Count ~as_name:"n" ]);
+      ("cross", fun () -> Kernel.cross_join points centroids);
       ("sort", fun () -> Table.sort_by ratings [ "movie"; "user" ]) ]
   in
   let reps = 5 in
@@ -205,7 +227,7 @@ let kernels_par () =
   Printf.printf
     "columnar vs row kernels (%d rows, parallel jobs=%d, best of %d)\n"
     ratings_n par_jobs reps;
-  Printf.printf "%-10s %12s %12s %12s %8s %8s  %s\n" "kernel" "row j1"
+  Printf.printf "%-14s %12s %12s %12s %8s %8s  %s\n" "kernel" "row j1"
     "col j1" "col j4" "r(j1)" "r(j4)" "identical";
   (* a columnar timing under this is a zero-copy rewrite (PROJECT
      reduces to column aliasing): a ratio against a ~0s denominator is
@@ -218,10 +240,11 @@ let kernels_par () =
          let row_out, row_s = best_of ~columnar:false 1 f in
          let col_out, col_s = best_of ~columnar:true 1 f in
          let par_out, par_s = best_of ~columnar:true par_jobs f in
-         let row_csv = Table.to_csv row_out in
-         let identical =
-           row_csv = Table.to_csv col_out && row_csv = Table.to_csv par_out
+         let same t =
+           Table.to_csv t = Table.to_csv row_out
+           && Table.encoded_bytes t = Table.encoded_bytes row_out
          in
+         let identical = same col_out && same par_out in
          let zero_copy =
            col_s < zero_copy_threshold_s || par_s < zero_copy_threshold_s
          in
@@ -229,7 +252,7 @@ let kernels_par () =
          let fmt_ratio r =
            if zero_copy then "  0-copy" else Printf.sprintf "%7.2fx" r
          in
-         Printf.printf "%-10s %10.1fms %10.1fms %10.1fms %s %s  %b\n%!"
+         Printf.printf "%-14s %10.1fms %10.1fms %10.1fms %s %s  %b\n%!"
            name (1000. *. row_s) (1000. *. col_s) (1000. *. par_s)
            (fmt_ratio ratio1) (fmt_ratio ratio4) identical;
          if not identical then begin

@@ -636,6 +636,28 @@ let json_arg =
            histograms, predictions, recoveries) instead of the \
            human-readable tables.")
 
+(* the kernel.fallback.<reason> counters on their own, so a row-path
+   pass is one glance away rather than buried in the counter list *)
+let pp_fallbacks metrics =
+  let prefix = "kernel.fallback." in
+  let reasons =
+    List.filter_map
+      (fun (name, n) ->
+         if String.starts_with ~prefix name then
+           Some
+             (Printf.sprintf "%s %d"
+                (String.sub name (String.length prefix)
+                   (String.length name - String.length prefix))
+                n)
+         else None)
+      (Obs.Metrics.counters metrics)
+  in
+  Format.printf "@.row-path fallbacks: %s@."
+    (if not (Relation.Column.enabled ()) then
+       "not counted (columnar gate off: every kernel runs on rows)"
+     else if reasons = [] then "none"
+     else String.concat ", " reasons)
+
 let stats_cmd =
   let run kind nodes backend repeat trace inject seed retries jobs
       deadline_factor deadline no_speculation replan_threshold breaker
@@ -679,6 +701,7 @@ let stats_cmd =
         (Obs.Json.to_string (Obs.Metrics.to_json Obs.Metrics.default))
     else begin
       Format.printf "@.%a" Musketeer.Obs.Metrics.pp Obs.Metrics.default;
+      pp_fallbacks Obs.Metrics.default;
       if Engines.Breaker.enabled () then
         Format.printf "@.%a" Engines.Breaker.pp ()
     end
@@ -689,8 +712,9 @@ let stats_cmd =
          "Execute a workflow --repeat times and dump the metrics \
           registry: jobs per backend, rewrite hits, partitioner search \
           sizes, per-job predicted-vs-observed makespan error (the \
-          live Figure 14 signal) and — with --breaker — the circuit \
-          breaker states. --json makes the dump machine-readable.")
+          live Figure 14 signal), the kernels' row-path fallbacks by \
+          reason and — with --breaker — the circuit breaker states. \
+          --json makes the dump machine-readable.")
     Term.(
       const run $ workflow_arg $ nodes_arg $ backend_arg $ repeat_arg
       $ trace_arg $ inject_arg $ seed_arg $ retries_arg $ jobs_arg

@@ -52,10 +52,15 @@ let init = function
   | Avg _ -> S_avg (0., 0)
   | First _ -> S_first None
 
+(* when both operands are NaN the hardware returns one of them by
+   operand position, which the compiler may swap; fixing the choice
+   here keeps every SUM/AVG path on the same NaN sign *)
+let add_float a b = if Float.is_nan a then a else a +. b
+
 let add_values a b =
   match a, b with
   | Value.Int x, Value.Int y -> Value.Int (x + y)
-  | _ -> Value.Float (Value.to_float a +. Value.to_float b)
+  | _ -> Value.Float (add_float (Value.to_float a) (Value.to_float b))
 
 let step fn state v =
   match fn, state, v with
@@ -68,7 +73,8 @@ let step fn state v =
   | Max _, S_minmax None, Some v -> S_minmax (Some v)
   | Max _, S_minmax (Some acc), Some v ->
     S_minmax (Some (if Value.compare v acc > 0 then v else acc))
-  | Avg _, S_avg (sum, n), Some v -> S_avg (sum +. Value.to_float v, n + 1)
+  | Avg _, S_avg (sum, n), Some v ->
+    S_avg (add_float sum (Value.to_float v), n + 1)
   | First _, S_first None, Some v -> S_first (Some v)
   | First _, (S_first (Some _) as s), Some _ -> s
   | _, _, None -> invalid_arg "Aggregate.step: missing input value"
@@ -91,7 +97,7 @@ let merge fn a b =
     S_minmax (Some (if Value.compare y x < 0 then y else x))
   | Max _, S_minmax (Some x), S_minmax (Some y) ->
     S_minmax (Some (if Value.compare y x > 0 then y else x))
-  | Avg _, S_avg (s1, n1), S_avg (s2, n2) -> S_avg (s1 +. s2, n1 + n2)
+  | Avg _, S_avg (s1, n1), S_avg (s2, n2) -> S_avg (add_float s1 s2, n1 + n2)
   | First _, (S_first (Some _) as s), S_first _ -> s
   | First _, S_first None, (S_first _ as s) -> s
   | _ -> invalid_arg "Aggregate.merge: state/function mismatch"

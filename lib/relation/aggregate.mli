@@ -33,6 +33,12 @@ val associative : fn -> bool
     Raises [Invalid_argument] for non-numeric Sum/Avg. *)
 val result_type : fn -> input:Value.ty option -> Value.ty
 
+(** [add_float a b] is [a +. b], except that it is [a] whenever [a] is
+    NaN: with two NaN operands the hardware's pick depends on operand
+    order, which the compiler is free to swap. Every float SUM/AVG
+    accumulation (row, parallel and columnar) adds through this. *)
+val add_float : float -> float -> float
+
 (** Streaming state: [init], [step], [finish]. *)
 type state
 

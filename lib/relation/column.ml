@@ -238,32 +238,39 @@ let gather t idx =
     | Floats a -> Floats (gather_floats a idx)
     | Bools a -> Bools (gather_bools a idx)
     | Dict { codes; dict } ->
-      let n = Array.length idx in
+      let out_codes = gather_ints codes idx in
+      let n = Array.length out_codes in
+      (* null slots carry a placeholder code that uses no entry *)
+      let live k =
+        match t.valid with None -> true | Some bm -> bitmap_get bm idx.(k)
+      in
       let d = Array.length dict in
-      if n >= d then Dict { codes = gather_ints codes idx; dict }
+      let used = Array.make d false in
+      let nused = ref 0 in
+      for k = 0 to n - 1 do
+        let c = out_codes.(k) in
+        if live k && not used.(c) then begin
+          used.(c) <- true;
+          incr nused
+        end
+      done;
+      if !nused = d then Dict { codes = out_codes; dict }
       else begin
-        (* selective filter: compact the dictionary so dropped entries
-           stop counting toward encoded size *)
-        let remap = Array.make d (-1) in
-        let out_codes = Array.make n 0 in
-        let entries = ref [] in
+        (* an entry no gathered row uses would still count toward
+           encoded size: compact the dictionary, keeping its order *)
+        let remap = Array.make d 0 in
+        let out_dict = Array.make !nused "" in
         let next = ref 0 in
-        for k = 0 to n - 1 do
-          let c = codes.(idx.(k)) in
-          let c' =
-            if remap.(c) >= 0 then remap.(c)
-            else begin
-              let c' = !next in
-              remap.(c) <- c';
-              entries := dict.(c) :: !entries;
-              incr next;
-              c'
-            end
-          in
-          out_codes.(k) <- c'
+        for c = 0 to d - 1 do
+          if used.(c) then begin
+            remap.(c) <- !next;
+            out_dict.(!next) <- dict.(c);
+            incr next
+          end
         done;
-        let out_dict = Array.make !next "" in
-        List.iteri (fun k s -> out_dict.(!next - 1 - k) <- s) !entries;
+        for k = 0 to n - 1 do
+          out_codes.(k) <- (if live k then remap.(out_codes.(k)) else 0)
+        done;
         Dict { codes = out_codes; dict = out_dict }
       end
   in

@@ -21,7 +21,8 @@ type data =
   | Bools of bool array
   | Dict of {
       codes : int array;      (** per-row index into [dict] *)
-      dict : string array;    (** distinct values, first-appearance order *)
+      dict : string array;    (** distinct values; first-appearance
+                                  order when built from values *)
     }
 
 type t = private {
@@ -68,9 +69,10 @@ val to_values : t -> Value.t array
 val to_options : t -> Value.t option array
 
 (** [gather t idx] is the column restricted to the slots in [idx], in
-    [idx] order (a selection-vector apply). Dictionary columns are
-    re-encoded when the selection is smaller than the dictionary, so
-    sizes stay honest after selective filters. *)
+    [idx] order (a selection-vector apply). A dictionary column keeps
+    its dictionary when every entry is still used and is compacted to
+    the used entries (in dictionary order) otherwise, so its
+    {!encoded_bytes} equal those of the same values built from rows. *)
 val gather : t -> int array -> t
 
 (** [concat cols] appends columns of one type in order; dictionaries

@@ -7,6 +7,16 @@ let par_threshold = 512
 
 let mark name = Obs.Metrics.incr Obs.Metrics.default ("kernel.columnar." ^ name)
 
+let note_fallback reason =
+  if Column.enabled () then
+    Obs.Metrics.incr Obs.Metrics.default ("kernel.fallback." ^ reason)
+
+(* every [None] returned while the gate is on goes through here, so a
+   row-path fallback always shows up as [kernel.fallback.<reason>] *)
+let fallback reason =
+  note_fallback reason;
+  None
+
 (* ---- growable scratch buffers (amortized O(1) push) ---- *)
 
 type ibuf = {
@@ -138,10 +148,10 @@ let try_select t pred =
   if not (Column.enabled ()) then None
   else begin
     let schema = Table.schema t in
-    if not (Vector.vectorizable schema pred) then None
+    if not (Vector.vectorizable schema pred) then fallback "not_vectorizable"
     else if Expr.infer schema pred <> Value.Tbool then
       (* row path raises per live row; let it *)
-      None
+      fallback "not_vectorizable"
     else begin
       mark "select";
       let n = Table.row_count t in
@@ -196,7 +206,7 @@ let try_map_column t ~target ~expr =
   if not (Column.enabled ()) then None
   else begin
     let schema = Table.schema t in
-    if not (Vector.vectorizable schema expr) then None
+    if not (Vector.vectorizable schema expr) then fallback "not_vectorizable"
     else begin
       mark "map";
       let ty = Expr.infer schema expr in
@@ -237,7 +247,7 @@ let try_map_column t ~target ~expr =
 
 (* ---- JOIN ---- *)
 
-(* int view of a join/group key column; [None] when the type cannot key
+(* int view of a join key column; [None] when the type cannot key
    a columnar hash table byte-identically (floats: the row engine's
    structural equality makes every NaN its own key) *)
 let int_keys (col : Column.t) =
@@ -255,7 +265,8 @@ let try_join left right ~left_key ~right_key =
     and ri = Schema.index_of rs right_key in
     let lty = Schema.column_type ls left_key
     and rty = Schema.column_type rs right_key in
-    if lty <> rty || lty = Value.Tfloat then None
+    if lty = Value.Tfloat || rty = Value.Tfloat then fallback "float_key"
+    else if lty <> rty then fallback "not_vectorizable"
     else begin
       mark "join";
       let lcols = Table.columns left and rcols = Table.columns right in
@@ -382,10 +393,11 @@ let acc_new_group acc row =
   | A_count -> ()
   | A_sum_i a -> ipush a.sums a.src.(row)
   | A_sum_f a -> fpush a.sums a.src.(row)
-  (* AVG starts from 0. and adds every value, like [Aggregate.S_avg];
-     SUM seeds from the first value (0. +. -0. would lose the sign) *)
+  (* AVG starts from 0. and adds every value, like [Aggregate.S_avg]
+     (so a group of one -0. averages to 0.); SUM seeds from the first
+     value, keeping the sign of a lone -0. *)
   | A_avg_i a -> fpush a.sums (float_of_int a.src.(row))
-  | A_avg_f a -> fpush a.sums a.src.(row)
+  | A_avg_f a -> fpush a.sums (Aggregate.add_float 0. a.src.(row))
   | A_minmax a -> ipush a.best row
   | A_first a -> ipush a.first row
 
@@ -393,9 +405,9 @@ let acc_step acc g row =
   match acc with
   | A_count -> ()
   | A_sum_i a -> a.sums.ia.(g) <- a.sums.ia.(g) + a.src.(row)
-  | A_sum_f a -> a.sums.fa.(g) <- a.sums.fa.(g) +. a.src.(row)
+  | A_sum_f { src; sums } | A_avg_f { src; sums } ->
+    sums.fa.(g) <- Aggregate.add_float sums.fa.(g) src.(row)
   | A_avg_i a -> a.sums.fa.(g) <- a.sums.fa.(g) +. float_of_int a.src.(row)
-  | A_avg_f a -> a.sums.fa.(g) <- a.sums.fa.(g) +. a.src.(row)
   | A_minmax a ->
     (* strict comparison keeps the earliest winner on ties, exactly as
        [Aggregate.step] does *)
@@ -421,81 +433,181 @@ let acc_finish acc ~counts =
   | A_minmax a -> Column.gather a.src (icontents a.best)
   | A_first a -> Column.gather a.src (icontents a.first)
 
+(* lookup tables up to this many slots are plain arrays; past it, a
+   hash table keeps memory proportional to the rows *)
+let dense_limit n = (2 * n) + 1024
+
+(* [refine_groups gids ~groups codes ~card] splits a grouping by one
+   more key: rows with the same (group id, code) pair share a fresh
+   dense id, ids given out in first-appearance order. Starting from one all-rows
+   group, refining by each key in turn numbers the full key tuples in
+   first appearance, the order of the row kernel's tuple hash table.
+   Returns the new ids and their count. *)
+let refine_groups gids ~groups codes ~card =
+  let n = Array.length codes in
+  let out = Array.make n 0 in
+  let next = ref 0 in
+  if groups * card <= dense_limit n then begin
+    let table = Array.make (groups * card) (-1) in
+    for r = 0 to n - 1 do
+      let k = (gids.(r) * card) + codes.(r) in
+      let g = table.(k) in
+      if g >= 0 then out.(r) <- g
+      else begin
+        table.(k) <- !next;
+        out.(r) <- !next;
+        incr next
+      end
+    done
+  end
+  else begin
+    let table : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+    for r = 0 to n - 1 do
+      let k = (gids.(r) * card) + codes.(r) in
+      match Hashtbl.find_opt table k with
+      | Some g -> out.(r) <- g
+      | None ->
+        Hashtbl.add table k !next;
+        out.(r) <- !next;
+        incr next
+    done
+  end;
+  (out, !next)
+
+(* A group key column as codes in [0, card): dictionary codes for
+   strings, 0/1 for bools, ints shifted by their minimum when the range
+   is small and numbered in first appearance otherwise. Equal codes iff
+   equal keys, which is all grouping needs. [None] for floats: the row
+   engine's structural equality makes every NaN its own group. *)
+let key_codes (col : Column.t) =
+  match col.Column.data with
+  | Column.Dict { codes; dict } -> Some (codes, Array.length dict)
+  | Column.Bools a -> Some (Array.map (fun b -> if b then 1 else 0) a, 2)
+  | Column.Floats _ -> None
+  | Column.Ints a ->
+    let n = Array.length a in
+    let lo = ref 0 and hi = ref 0 in
+    if n > 0 then begin
+      lo := a.(0);
+      hi := a.(0)
+    end;
+    for i = 1 to n - 1 do
+      if a.(i) < !lo then lo := a.(i) else if a.(i) > !hi then hi := a.(i)
+    done;
+    let span = !hi - !lo in
+    (* [span < 0]: the difference overflowed *)
+    if span >= 0 && span < dense_limit n then begin
+      let lo = !lo in
+      Some (Array.map (fun x -> x - lo) a, span + 1)
+    end
+    else
+      (* under a single prior group the pair key is the value itself,
+         and an unbounded [card] selects the hash table *)
+      Some (refine_groups (Array.make n 0) ~groups:1 a ~card:max_int)
+
 let try_group_by t ~keys ~aggs =
   if not (Column.enabled ()) then None
-  else
-    match keys with
-    | [ key ] -> (
-      let schema = Table.schema t in
-      let ki = Schema.index_of schema key in
-      let cols = Table.columns t in
-      let n = Table.row_count t in
-      (* resolve the string key through its dictionary codes: equal
-         codes iff equal strings, and code first-appearance order is
-         string first-appearance order *)
-      let codes =
-        match cols.(ki).Column.data with
-        | Column.Dict { codes; _ } -> Some codes
-        | _ -> int_keys cols.(ki)
-      in
-      match codes with
-      | None -> None (* float keys: row-path NaN semantics *)
-      | Some codes -> (
-        let accs_opt =
-          List.map (fun a -> (a, acc_of_agg schema cols a)) aggs
+  else begin
+    let schema = Table.schema t in
+    (* same Not_found as the row path on unknown keys *)
+    let kis = List.map (Schema.index_of schema) keys in
+    let cols = Table.columns t in
+    let n = Table.row_count t in
+    let codes = List.map (fun ki -> key_codes cols.(ki)) kis in
+    if List.mem None codes then fallback "float_key"
+    else begin
+      let accs_opt = List.map (acc_of_agg schema cols) aggs in
+      if List.mem None accs_opt then
+        (* SUM/AVG over a non-numeric column: the row path raises *)
+        fallback "not_vectorizable"
+      else if keys = [] && n = 0 then
+        (* a keyless AGG over no rows still yields one row of initial
+           aggregate states; only the row path builds it *)
+        fallback "empty_keyless"
+      else begin
+        mark "group_by";
+        let gids, _ =
+          List.fold_left
+            (fun (gids, groups) c ->
+               let codes, card = Option.get c in
+               refine_groups gids ~groups codes ~card)
+            (Array.make n 0, 1) codes
         in
-        if List.exists (fun (_, o) -> o = None) accs_opt then None
-        else begin
-          mark "group_by";
-          let accs =
-            Array.of_list
-              (List.map
-                 (fun (_, o) -> match o with Some a -> a | None -> assert false)
-                 accs_opt)
-          in
-          let na = Array.length accs in
-          let groups : (int, int) Hashtbl.t = Hashtbl.create (max 16 n) in
-          let reps = ibuf () and counts = ibuf () in
-          for row = 0 to n - 1 do
-            match Hashtbl.find_opt groups codes.(row) with
-            | Some g ->
-              counts.ia.(g) <- counts.ia.(g) + 1;
-              for j = 0 to na - 1 do
-                acc_step accs.(j) g row
-              done
-            | None ->
-              let g = reps.ilen in
-              Hashtbl.add groups codes.(row) g;
-              ipush reps row;
-              ipush counts 1;
-              for j = 0 to na - 1 do
-                acc_new_group accs.(j) row
-              done
-          done;
-          (* same output schema construction as the serial kernel *)
-          let scols = Array.of_list (Schema.columns schema) in
-          let key_col = scols.(ki) in
-          let agg_cols =
-            List.map
-              (fun (a : Aggregate.t) ->
-                 let input_ty =
-                   Option.map
-                     (fun c -> scols.(Schema.index_of schema c).Schema.ty)
-                     (Aggregate.input_column a.Aggregate.fn)
-                 in
-                 { Schema.name = a.Aggregate.as_name;
-                   ty = Aggregate.result_type a.Aggregate.fn ~input:input_ty })
-              aggs
-          in
-          let out_schema = Schema.make (key_col :: agg_cols) in
-          let rep_idx = icontents reps in
-          let out_key = Column.gather cols.(ki) rep_idx in
-          let out_aggs =
-            Array.to_list (Array.map (fun acc -> acc_finish acc ~counts) accs)
-          in
-          Some (Table.of_columns out_schema (Array.of_list (out_key :: out_aggs)))
-        end))
-    | _ -> None
+        let accs = Array.of_list (List.map Option.get accs_opt) in
+        let na = Array.length accs in
+        let reps = ibuf () and counts = ibuf () in
+        for row = 0 to n - 1 do
+          let g = gids.(row) in
+          (* ids are in first appearance: an unseen group is the next id *)
+          if g < reps.ilen then begin
+            counts.ia.(g) <- counts.ia.(g) + 1;
+            for j = 0 to na - 1 do
+              acc_step accs.(j) g row
+            done
+          end
+          else begin
+            ipush reps row;
+            ipush counts 1;
+            for j = 0 to na - 1 do
+              acc_new_group accs.(j) row
+            done
+          end
+        done;
+        (* same output schema construction as the serial kernel *)
+        let scols = Array.of_list (Schema.columns schema) in
+        let agg_cols =
+          List.map
+            (fun (a : Aggregate.t) ->
+               let input_ty =
+                 Option.map
+                   (fun c -> scols.(Schema.index_of schema c).Schema.ty)
+                   (Aggregate.input_column a.Aggregate.fn)
+               in
+               { Schema.name = a.Aggregate.as_name;
+                 ty = Aggregate.result_type a.Aggregate.fn ~input:input_ty })
+            aggs
+        in
+        let out_schema =
+          Schema.make (List.map (fun ki -> scols.(ki)) kis @ agg_cols)
+        in
+        let rep_idx = icontents reps in
+        let out_keys =
+          List.map (fun ki -> Column.gather cols.(ki) rep_idx) kis
+        in
+        let out_aggs =
+          Array.to_list (Array.map (fun acc -> acc_finish acc ~counts) accs)
+        in
+        Some (Table.of_columns out_schema (Array.of_list (out_keys @ out_aggs)))
+      end
+    end
+  end
+
+(* ---- CROSS ---- *)
+
+let try_cross left right =
+  if not (Column.enabled ()) then None
+  else begin
+    (* same schema, and the same clash error, as the row path *)
+    let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
+    mark "cross";
+    let nl = Table.row_count left and nr = Table.row_count right in
+    (* left-major: output row [l * nr + r] pairs left row [l] with right
+       row [r], the row kernel's nested-loop order *)
+    let lidx = Array.make (nl * nr) 0 and ridx = Array.make (nl * nr) 0 in
+    for l = 0 to nl - 1 do
+      let base = l * nr in
+      for r = 0 to nr - 1 do
+        lidx.(base + r) <- l;
+        ridx.(base + r) <- r
+      done
+    done;
+    let gather_all t idx =
+      Array.map (fun c -> Column.gather c idx) (Table.columns t)
+    in
+    Some
+      (Table.of_columns out_schema
+         (Array.append (gather_all left lidx) (gather_all right ridx)))
+  end
 
 (* ---- fused SELECT/PROJECT/MAP chains ---- *)
 
@@ -549,7 +661,7 @@ let try_fused t steps =
         (Some schema0) steps
     in
     match plan_ok with
-    | None -> None
+    | None -> fallback "not_vectorizable"
     | Some _ ->
       mark "fused";
       let n = Table.row_count t in

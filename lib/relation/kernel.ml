@@ -172,6 +172,7 @@ let right_keep_info right ~right_key =
   (ri, keep_cols, keep_idx)
 
 let left_outer_join left right ~left_key ~right_key ~defaults =
+  Columnar.note_fallback "row_only";
   let ls = Table.schema left in
   let li = Schema.index_of ls left_key in
   let ri, keep_cols, keep_idx = right_keep_info right ~right_key in
@@ -220,12 +221,14 @@ let key_membership right ~right_key =
   keys
 
 let semi_join left right ~left_key ~right_key =
+  Columnar.note_fallback "row_only";
   let li = Schema.index_of (Table.schema left) left_key in
   let keys = key_membership right ~right_key in
   Table.create_unchecked (Table.schema left)
     (filter_rows (fun lrow -> Hashtbl.mem keys lrow.(li)) (Table.rows left))
 
 let anti_join left right ~left_key ~right_key =
+  Columnar.note_fallback "row_only";
   let li = Schema.index_of (Table.schema left) left_key in
   let keys = key_membership right ~right_key in
   Table.create_unchecked (Table.schema left)
@@ -234,6 +237,9 @@ let anti_join left right ~left_key ~right_key =
        (Table.rows left))
 
 let cross_join left right =
+  match Columnar.try_cross left right with
+  | Some r -> r
+  | None ->
   let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
   let out = ref [] in
   Array.iter
@@ -251,12 +257,16 @@ let check_union_compatible a b =
          (Schema.to_string (Table.schema a))
          (Schema.to_string (Table.schema b)))
 
-let union_all a b =
+let union_rows a b =
   check_union_compatible a b;
   Table.create_unchecked (Table.schema a)
     (Array.append (Table.rows a) (Table.rows b))
 
-let distinct t =
+let union_all a b =
+  Columnar.note_fallback "set_op";
+  union_rows a b
+
+let distinct_rows t =
   let seen = Hashtbl.create (max 16 (Table.row_count t)) in
   let out = ref [] in
   Array.iter
@@ -268,9 +278,16 @@ let distinct t =
     (Table.rows t);
   Table.create_unchecked (Table.schema t) (Array.of_list (List.rev !out))
 
-let union a b = distinct (union_all a b)
+let distinct t =
+  Columnar.note_fallback "set_op";
+  distinct_rows t
+
+let union a b =
+  Columnar.note_fallback "set_op";
+  distinct_rows (union_rows a b)
 
 let intersect a b =
+  Columnar.note_fallback "set_op";
   check_union_compatible a b;
   let in_b = Hashtbl.create (max 16 (Table.row_count b)) in
   Array.iter (fun row -> Hashtbl.replace in_b row ()) (Table.rows b);
@@ -286,6 +303,7 @@ let intersect a b =
   Table.create_unchecked (Table.schema a) (Array.of_list (List.rev !out))
 
 let difference a b =
+  Columnar.note_fallback "set_op";
   check_union_compatible a b;
   let in_b = Hashtbl.create (max 16 (Table.row_count b)) in
   Array.iter (fun row -> Hashtbl.replace in_b row ()) (Table.rows b);
@@ -385,11 +403,16 @@ let group_by t ~keys ~aggs =
 let top_k t ~by ~descending ~k =
   (* one sort with the final comparator, then a prefix slice — the old
      version always sorted ascending and reversed the whole array for
-     descending *)
+     descending; a column-backed sort is sliced without boxing a row *)
   let sorted = Table.sort_by ~descending t [ by ] in
-  let rows = Table.rows sorted in
-  let n = min k (Array.length rows) in
-  Table.create_unchecked (Table.schema t) (Array.sub rows 0 n)
+  let n = min k (Table.row_count sorted) in
+  if Table.is_columnar sorted then
+    let prefix = Array.init n Fun.id in
+    Table.of_columns (Table.schema t)
+      (Array.map (fun c -> Column.gather c prefix) (Table.columns sorted))
+  else
+    Table.create_unchecked (Table.schema t)
+      (Array.sub (Table.rows sorted) 0 n)
 
 let sample t ~fraction ~seed =
   if fraction >= 1. then t

@@ -12,7 +12,13 @@
     parallel paths are byte-identical to the serial ones (see
     docs/parallelism.md), so dispatch never changes an answer. GROUP BY
     only parallelizes when every aggregation is
-    {!Par.exactly_mergeable} — float SUM/AVG always runs serially. *)
+    {!Par.exactly_mergeable} — float SUM/AVG always runs serially.
+
+    Each of them, and CROSS, first tries its {!Columnar} kernel; a row
+    path taken while the columnar gate is on is counted as
+    [kernel.fallback.<reason>] (see {!Columnar} for the reasons). The
+    set operators count [set_op] and the left outer, semi and anti
+    joins [row_only]: they have no columnar kernel. *)
 
 (** Row count at or above which the hot kernels (and {!Fused.run}) go
     parallel when the pool has more than one domain. *)
@@ -38,6 +44,8 @@ val rename_column : Table.t -> from_:string -> to_:string -> Table.t
     generated back-end code (paper Listing 3/4). *)
 val join : Table.t -> Table.t -> left_key:string -> right_key:string -> Table.t
 
+(** Cartesian product, left-major (each left row paired with every
+    right row in order); clashing right names get an ["r_"] prefix. *)
 val cross_join : Table.t -> Table.t -> Table.t
 
 (** Left outer equi-join: left rows without a match are kept, with the

@@ -8,13 +8,18 @@
      re-encoding (unit cases per type plus a fuzzed property over
      Qcheck_lite.shape_arbitrary table shapes);
    - differential: every vectorized kernel (select / project / map /
-     join / group_by / sort, plus fused chains) produces byte-identical
-     CSV to the row engine with the columnar gate off, at jobs 1, 2
-     and 4;
-   - regression: the three kernels that regressed during the columnar
-     bring-up (group_by, project, join) are pinned on a checked-in
-     4096-row fixture at jobs=4, with a Gc.allocated_bytes bound that
-     fails if any of them silently falls back to per-row boxing. *)
+     join / group_by on zero to four keys / cross / sort, plus fused
+     chains) produces byte-identical CSV and the same encoded_bytes as
+     the row engine with the columnar gate off, at jobs 1, 2 and 4; the
+     zoo workflows give the same outputs through Ir.Interp on rows and
+     on columns, and executing netflix and kmeans counts no fallback;
+   - regression: the kernels that regressed during the columnar
+     bring-up (group_by, project, join) and the ones the zoo needs to
+     stay columnar (cross, multi-key group_by) are pinned on a
+     checked-in 4096-row fixture at jobs=4, with a Gc.allocated_bytes
+     bound that fails if group_by, cross or 2-key group_by silently
+     falls back to per-row boxing (a join fallback runs Par on the
+     pool's worker domains, which the bound cannot see). *)
 
 open Relation
 
@@ -276,29 +281,89 @@ let test_prop_column_roundtrip_nulls () =
 (* ---- satellite: kernel differential property ----
 
    Reference = the row engine (columnar gate off) at jobs=1. The
-   columnar path must match its CSV byte-for-byte at jobs 1, 2 and 4 —
-   including the kernels' deliberate fallbacks (float keys, multi-key
-   GROUP BY, ...), which take the row path and are identical by
+   columnar path must match its CSV byte-for-byte and its encoded_bytes
+   (the modeled size every engine charges) at jobs 1, 2 and 4 —
+   including the kernels' deliberate fallbacks (float keys, a keyless
+   AGG over no rows), which take the row path and are identical by
    construction. *)
 
 let jobs_matrix = [ 1; 2; 4 ]
 
 let row_reference f = Column.with_enabled false (fun () -> Pool.with_jobs 1 f)
 
+let same_table expect got =
+  Table.to_csv got = Table.to_csv expect
+  && Table.encoded_bytes got = Table.encoded_bytes expect
+
 let columnar_matches f =
-  let expect = Table.to_csv (row_reference f) in
+  let expect = row_reference f in
   List.for_all
     (fun jobs ->
-       let got =
-         Column.with_enabled true (fun () -> Pool.with_jobs jobs f)
-       in
-       Table.to_csv got = expect)
+       same_table expect
+         (Column.with_enabled true (fun () -> Pool.with_jobs jobs f)))
     jobs_matrix
 
 let first_col_of_ty t ty =
   List.find_map
     (fun (c : Schema.column) -> if c.ty = ty then Some c.name else None)
     (Schema.columns (Table.schema t))
+
+(* a small right side for CROSS: its [k] clashes with every shape's
+   key column (renamed [r_k]), and its strings repeat *)
+let cross_right =
+  lazy
+    (let schema =
+       Schema.make
+         [ { Schema.name = "k"; ty = Value.Tint };
+           { Schema.name = "w"; ty = Value.Tstring } ]
+     in
+     Table.create_unchecked schema
+       (Array.init 3 (fun i ->
+            [| Value.Int (i - 1); Value.Str (if i = 1 then "b" else "a") |])))
+
+let all_aggs ~num ~any =
+  [ Aggregate.make Aggregate.Count ~as_name:"n";
+    Aggregate.make (Aggregate.Sum num) ~as_name:"s";
+    Aggregate.make (Aggregate.Avg num) ~as_name:"avg";
+    Aggregate.make (Aggregate.Min any) ~as_name:"lo";
+    Aggregate.make (Aggregate.Max any) ~as_name:"hi";
+    Aggregate.make (Aggregate.First any) ~as_name:"f" ]
+
+(* GROUP BY on 2-4 keys mixing int, string and bool, with all six
+   aggregates. The shape's extra columns are prefixed with a string
+   [c0], a bool [c1] and an int [c2], so every key mix exists; the
+   string cardinality varies with the shape. *)
+let test_prop_multikey_group_by () =
+  try
+    Qcheck_lite.check ~count:25 ~seed ~name:"multi-key group_by == row"
+      Qcheck_lite.shape_arbitrary (fun sh ->
+        let card = List.nth [ 1; 10; 10_000 ] (sh.Qcheck_lite.sh_seed mod 3) in
+        let sh =
+          { sh with
+            Qcheck_lite.sh_extra =
+              (Value.Tstring, card) :: (Value.Tbool, 2) :: (Value.Tint, 10)
+              :: sh.Qcheck_lite.sh_extra }
+        in
+        let t = Qcheck_lite.table_of_shape sh in
+        let key_sets =
+          [ [ "k"; "c0" ]; [ "c1"; "k" ]; [ "c0"; "c1"; "c2" ];
+            [ "c2"; "c0"; "k"; "c1" ] ]
+        in
+        let agg_sets =
+          [ all_aggs ~num:"k" ~any:"c0"; all_aggs ~num:"c2" ~any:"c1" ]
+          @
+          match first_col_of_ty t Value.Tfloat with
+          | Some f -> [ all_aggs ~num:f ~any:f ]
+          | None -> []
+        in
+        List.for_all
+          (fun keys ->
+             List.for_all
+               (fun aggs ->
+                  columnar_matches (fun () -> Kernel.group_by t ~keys ~aggs))
+               agg_sets)
+          key_sets)
+  with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
 let test_prop_kernel_differential () =
   try
@@ -330,7 +395,15 @@ let test_prop_kernel_differential () =
                      Aggregate.make (Aggregate.Min "k") ~as_name:"lo";
                      Aggregate.make (Aggregate.Max "k") ~as_name:"hi";
                      Aggregate.make (Aggregate.Avg "k") ~as_name:"avg" ]);
-            (fun () -> Table.sort_by t names) ]
+            (fun () ->
+               Kernel.group_by t ~keys:[]
+                 ~aggs:
+                   [ Aggregate.make Aggregate.Count ~as_name:"n";
+                     Aggregate.make (Aggregate.Avg "k") ~as_name:"avg" ]);
+            (fun () -> Table.sort_by t names);
+            (fun () -> Kernel.top_k t ~by:"k" ~descending:true ~k:5);
+            (fun () -> Kernel.cross_join t (Lazy.force cross_right));
+            (fun () -> Kernel.cross_join (Lazy.force cross_right) t) ]
         in
         let typed =
           (* type-dependent kernels, when the shape has such a column *)
@@ -394,26 +467,103 @@ let test_prop_fused_differential () =
           let t = Kernel.select t Expr.(col "m" <= int 16) in
           Kernel.project t [ "k"; "m" ]
         in
-        let expect = Table.to_csv (row_reference unfused) in
+        let expect = row_reference unfused in
         List.for_all
           (fun jobs ->
              List.for_all
                (fun columnar ->
-                  let got =
-                    Column.with_enabled columnar (fun () ->
-                        Pool.with_jobs jobs (fun () -> Fused.run t steps))
-                  in
-                  Table.to_csv got = expect)
+                  same_table expect
+                    (Column.with_enabled columnar (fun () ->
+                         Pool.with_jobs jobs (fun () -> Fused.run t steps))))
                [ true; false ])
           jobs_matrix)
   with Qcheck_lite.Falsified msg -> Alcotest.fail msg
 
+(* ---- the zoo on rows and on columns ----
+
+   Ir.Interp dispatches through Kernel, so comparing a workflow's
+   engine outputs against Interp cannot tell a wrong columnar kernel
+   from a right one. Here every relation Interp binds — intermediates
+   included — must have the same CSV and encoded_bytes with the gate
+   off and on, at the CLI's input sizes. *)
+
+let zoo_cases () =
+  let netflix = Experiments.Common.load_netflix ~movies:8000 in
+  [ ("netflix", netflix, Workloads.Workflows.netflix ());
+    ("netflix_extended", netflix, Workloads.Workflows.netflix_extended ());
+    ("kmeans", Experiments.Common.load_kmeans ~points:100_000_000 ~k:100,
+     Workloads.Workflows.kmeans ());
+    ("tpch", Experiments.Common.load_tpch ~scale_factor:10,
+     Workloads.Workflows.tpch_q17 ()) ]
+
+let test_zoo_rows_vs_columns () =
+  List.iter
+    (fun (name, hdfs, graph) ->
+       let store () =
+         Ir.Interp.store_of_list
+           (List.map
+              (fun r -> (r, Engines.Hdfs.table hdfs r))
+              (Engines.Hdfs.list hdfs))
+       in
+       let run columnar =
+         Column.with_enabled columnar (fun () ->
+             Ir.Interp.run ~store:(store ()) graph)
+       in
+       let rows = run false and cols = run true in
+       Alcotest.(check (list string))
+         (name ^ " relations") (List.map fst rows) (List.map fst cols);
+       List.iter2
+         (fun (rel, expect) (_, got) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s/%s identical (%d rows)" name rel
+                 (Table.row_count expect))
+              true (same_table expect got))
+         rows cols)
+    (zoo_cases ())
+
+(* executing netflix and kmeans with the gate on takes no row path: no
+   kernel.fallback.* counter moves, and GROUP BY / CROSS ran columnar *)
+let test_zoo_no_fallbacks () =
+  let counters () = Obs.Metrics.counters Obs.Metrics.default in
+  let delta before after prefix =
+    List.fold_left
+      (fun acc (k, v) ->
+         if String.starts_with ~prefix k then
+           acc + v - Option.value ~default:0 (List.assoc_opt k before)
+         else acc)
+      0 after
+  in
+  let m = Musketeer.create ~cluster:(Engines.Cluster.ec2 ~nodes:16) () in
+  List.iter
+    (fun (name, hdfs, graph, ops) ->
+       let before = counters () in
+       Column.with_enabled true (fun () ->
+           match Musketeer.execute m ~workflow:name ~hdfs graph with
+           | Ok _ -> ()
+           | Error e -> Alcotest.fail (Engines.Report.error_to_string e));
+       let after = counters () in
+       Alcotest.(check int)
+         (name ^ ": no kernel fallback") 0
+         (delta before after "kernel.fallback.");
+       List.iter
+         (fun op ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: columnar %s ran" name op)
+              true
+              (delta before after ("kernel.columnar." ^ op) > 0))
+         ops)
+    [ ("netflix", Experiments.Common.load_netflix ~movies:8000,
+       Workloads.Workflows.netflix (), [ "group_by" ]);
+      ("kmeans", Experiments.Common.load_kmeans ~points:100_000_000 ~k:100,
+       Workloads.Workflows.kmeans (), [ "group_by"; "cross" ]) ]
+
 (* ---- satellite: 4k-row fixture regression ----
 
    group_by, project and join regressed during the columnar bring-up
-   (closure-per-element inner loops, boxed gathers); this pins them on
-   a checked-in fixture at jobs=4, plus an allocation bound that fails
-   if a kernel starts boxing per row again. *)
+   (closure-per-element inner loops, boxed gathers); cross and 2-key
+   group_by are what keeps the zoo (kmeans, netflix) columnar. This
+   pins them on a checked-in fixture at jobs=4, plus an allocation
+   bound that fails if a kernel starts boxing per row again. *)
 
 let fixture_schema =
   Schema.make
@@ -446,6 +596,17 @@ let fixture_dims =
        (Array.init 97 (fun i ->
             [| Value.Int i; Value.Str (Printf.sprintf "g%d" (i mod 7)) |])))
 
+(* the cross's right side: four rows, so the product stays small *)
+let fixture_pairs =
+  lazy
+    (let schema =
+       Schema.make
+         [ { Schema.name = "c"; ty = Value.Tint };
+           { Schema.name = "cx"; ty = Value.Tfloat } ]
+     in
+     Table.create_unchecked schema
+       (Array.init 4 (fun i -> [| Value.Int i; Value.Float (float_of_int i) |])))
+
 let fixture_kernels t =
   [ ("group_by", fun () ->
         Kernel.group_by t ~keys:[ "k" ]
@@ -458,7 +619,13 @@ let fixture_kernels t =
     ("project", fun () -> Kernel.project t [ "tag"; "k"; "x" ]);
     ("join", fun () ->
         Kernel.join t (Lazy.force fixture_dims) ~left_key:"k"
-          ~right_key:"k") ]
+          ~right_key:"k");
+    ("cross", fun () -> Kernel.cross_join t (Lazy.force fixture_pairs));
+    ("group_by_2key", fun () ->
+        Kernel.group_by t ~keys:[ "k"; "tag" ]
+          ~aggs:
+            [ Aggregate.make (Aggregate.Sum "v") ~as_name:"total";
+              Aggregate.make (Aggregate.Max "x") ~as_name:"hi" ]) ]
 
 let test_fixture_identity_jobs4 () =
   let t = load_fixture () in
@@ -476,17 +643,23 @@ let test_fixture_identity_jobs4 () =
 
 (* Per-row allocation budgets, in bytes per input row. The columnar
    kernels allocate unboxed index/accumulator arrays (measured on this
-   fixture: group_by ~11, project ~0, join ~102 B/row) where the row
-   engine boxes every cell (group_by ~480 B/row). Budgets sit 2-6x
-   above the measured columnar cost and far below per-row boxing, so a
-   silent fallback to the row path trips them. *)
+   fixture: group_by ~30, project ~0, join ~155, cross ~257 — the
+   4-row product's columns themselves are 192 —, group_by_2key
+   ~62 B/row) where the row engine allocates a fresh row array and a
+   list cell per output row (cross ~488, group_by_2key ~248 B/row).
+   Budgets sit 1.5-6x above the measured columnar cost and below the
+   serial row path, so a silent fallback to it trips them. The minor
+   heap is emptied around each measurement: allocation counters only
+   take in minor-heap words at a minor collection. *)
 let alloc_budgets =
-  [ ("group_by", 64.); ("project", 16.); ("join", 256.) ]
+  [ ("group_by", 64.); ("project", 16.); ("join", 256.); ("cross", 384.);
+    ("group_by_2key", 128.) ]
 
 let test_fixture_alloc_bound () =
   let t = load_fixture () in
   ignore (Table.columns t);
   ignore (Table.columns (Lazy.force fixture_dims));
+  ignore (Table.columns (Lazy.force fixture_pairs));
   let n = float_of_int (Table.row_count t) in
   List.iter
     (fun (name, f) ->
@@ -498,8 +671,10 @@ let test_fixture_alloc_bound () =
                   hashtable resizes, pool scheduling) and flakes *)
                let min_delta = ref infinity in
                for _ = 1 to 5 do
+                 Gc.minor ();
                  let before = Gc.allocated_bytes () in
                  ignore (Sys.opaque_identity (f ()));
+                 Gc.minor ();
                  let delta = Gc.allocated_bytes () -. before in
                  if delta < !min_delta then min_delta := delta
                done;
@@ -598,7 +773,14 @@ let () =
           Alcotest.test_case "joins, jobs 1/2/4" `Quick
             test_prop_join_differential;
           Alcotest.test_case "fused chains, fusion on/off" `Quick
-            test_prop_fused_differential ] );
+            test_prop_fused_differential;
+          Alcotest.test_case "multi-key group_by, jobs 1/2/4" `Quick
+            test_prop_multikey_group_by ] );
+      ( "zoo",
+        [ Alcotest.test_case "outputs identical on rows and columns" `Quick
+            test_zoo_rows_vs_columns;
+          Alcotest.test_case "netflix and kmeans take no row path" `Quick
+            test_zoo_no_fallbacks ] );
       ( "regression",
         [ Alcotest.test_case "4k fixture byte-identity at jobs=4" `Quick
             test_fixture_identity_jobs4;
